@@ -234,7 +234,7 @@ func BenchmarkSingleRunChain8Vegas(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := manetsim.Run(context.Background(), manetsim.Chain(8),
 			manetsim.WithBandwidth(manetsim.Rate2Mbps),
-			manetsim.WithTransport(manetsim.TransportSpec{Protocol: manetsim.Vegas}),
+			manetsim.WithTransport(manetsim.TransportSpec{Name: "vegas"}),
 			manetsim.WithSeed(int64(i+1)),
 			manetsim.WithPackets(2200, 200),
 		)

@@ -20,7 +20,7 @@ import (
 // the persistent result store. Bump it whenever Result's encoding changes
 // incompatibly: stored results carrying any other version are detected
 // and treated as cache misses — re-run, never silently misparsed.
-const ResultSchemaVersion = 1
+const ResultSchemaVersion = 2
 
 // Scale sets a campaign's default per-run measurement budget; configs that
 // set their own TotalPackets/BatchPackets/Seed keep them. PaperScale
@@ -52,23 +52,11 @@ var (
 type Campaign struct {
 	Scale Scale
 
-	// Workers bounds parallel simulations (default GOMAXPROCS).
-	//
-	// Deprecated: pass WithWorkers to NewCampaign instead. The field
-	// keeps working (set it before the first run) but new code should
-	// configure campaigns through CampaignOptions.
-	Workers int
-
-	// DisableArenaReuse makes every campaign run build its world from
-	// scratch instead of drawing a reusable arena (World) from the
-	// per-worker pool. Results are identical either way — arena reuse is
-	// byte-exact — so this exists as a diagnostic escape hatch and as the
-	// honest baseline for the replicate-throughput benchmark.
-	//
-	// Deprecated: pass WithoutArenaReuse to NewCampaign instead. The
-	// field keeps working (set it before the first run) but new code
-	// should configure campaigns through CampaignOptions.
-	DisableArenaReuse bool
+	// workers bounds parallel simulations (WithWorkers; default
+	// GOMAXPROCS). noArenaReuse (WithoutArenaReuse) builds every run's
+	// world from scratch instead of drawing a pooled arena.
+	workers      int
+	noArenaReuse bool
 
 	// storeDir, when set via WithStore, roots the persistent result
 	// store; the store itself opens at init so open errors surface from
@@ -109,12 +97,12 @@ func NewCampaign(scale Scale, opts ...CampaignOption) *Campaign {
 
 func (c *Campaign) init() {
 	c.once.Do(func() {
-		if c.Workers <= 0 {
-			c.Workers = runtime.GOMAXPROCS(0)
+		if c.workers <= 0 {
+			c.workers = runtime.GOMAXPROCS(0)
 		}
-		c.sem = make(chan struct{}, c.Workers)
+		c.sem = make(chan struct{}, c.workers)
 		c.cache = make(map[string]*cacheEntry)
-		c.arenas = make(chan *core.World, c.Workers)
+		c.arenas = make(chan *core.World, c.workers)
 		c.gapMemo = make(map[string]time.Duration)
 		if c.storeDir != "" {
 			c.store, c.storeErr = store.Open(c.storeDir, ResultSchemaVersion)
@@ -192,9 +180,9 @@ func (c *Campaign) runStored(ctx context.Context, key string, cfg Config) (*Resu
 }
 
 // runCore executes one fully scaled config, reusing a pooled arena unless
-// DisableArenaReuse is set. The caller must hold a worker slot, which is
-// what keeps concurrent arena use impossible: at most Workers runs are in
-// flight and the pool holds at most Workers arenas, each owned exclusively
+// WithoutArenaReuse is set. The caller must hold a worker slot, which is
+// what keeps concurrent arena use impossible: at most workers runs are in
+// flight and the pool holds at most workers arenas, each owned exclusively
 // while checked out.
 //
 // A panicking simulation (a registered transport or fault injector with a
@@ -202,7 +190,7 @@ func (c *Campaign) runStored(ctx context.Context, key string, cfg Config) (*Resu
 // error, and the World it ran in is dropped instead of returned to the
 // pool, so its possibly-corrupt state can never leak into later runs.
 func (c *Campaign) runCore(ctx context.Context, cfg Config) (res *Result, err error) {
-	if c.DisableArenaReuse {
+	if c.noArenaReuse {
 		defer recoverRunPanic(&err)
 		return core.RunContext(ctx, cfg)
 	}
@@ -718,7 +706,7 @@ func (c *Campaign) OptimalUDPGap(ctx context.Context, hops int, rate Rate) (time
 		cfg := Config{
 			Scenario:  Chain(hops),
 			Bandwidth: rate,
-			Transport: TransportSpec{Protocol: PacedUDP, UDPGap: gap},
+			Transport: TransportSpec{Name: "pacedudp", UDPGap: gap},
 			// The sweep uses a quarter of the budget per candidate.
 			TotalPackets: c.Scale.TotalPackets / 4,
 			BatchPackets: c.Scale.BatchPackets / 4,

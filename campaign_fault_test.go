@@ -16,7 +16,7 @@ func TestSweepFaultsAxis(t *testing.T) {
 	crash := []FaultSpec{CrashFault(1, 2*time.Second, time.Second)}
 	sw := Sweep{
 		Scenarios:  []*Scenario{Chain(3)},
-		Transports: []TransportSpec{{Protocol: NewReno}},
+		Transports: []TransportSpec{{Name: "newreno"}},
 		Faults:     [][]FaultSpec{nil, crash},
 		Seeds:      []int64{1, 2},
 		Base:       Config{TotalPackets: 550, BatchPackets: 50},
@@ -72,7 +72,7 @@ func TestSweepStoreResumeWithFaults(t *testing.T) {
 	ctx := context.Background()
 	sw := Sweep{
 		Scenarios:  []*Scenario{Chain(3)},
-		Transports: []TransportSpec{{Protocol: NewReno}, {Protocol: Vegas, Alpha: 2}},
+		Transports: []TransportSpec{{Name: "newreno"}, {Name: "vegas", Alpha: 2}},
 		Faults:     [][]FaultSpec{{CrashFault(1, 2*time.Second, time.Second)}},
 		Seeds:      []int64{1, 2},
 		Base:       Config{TotalPackets: 550, BatchPackets: 50},

@@ -17,7 +17,7 @@ func benchChainCfg(hops int) Config {
 	return Config{
 		Scenario:  Chain(hops),
 		Bandwidth: Rate2Mbps,
-		Transport: TransportSpec{Protocol: Vegas, Alpha: 2},
+		Transport: TransportSpec{Name: "vegas", Alpha: 2},
 	}
 }
 
@@ -29,7 +29,7 @@ func TestCampaignCacheDedupsRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, err := c.RunScenario(ctx, Chain(2),
-		WithBandwidth(Rate2Mbps), WithTransport(TransportSpec{Protocol: Vegas, Alpha: 2}))
+		WithBandwidth(Rate2Mbps), WithTransport(TransportSpec{Name: "vegas", Alpha: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +53,12 @@ func TestCampaignArenaReuseMatchesFreshBuilds(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	reused := NewCampaign(BenchScale)
-	reused.Workers = 4
+	reused := NewCampaign(BenchScale, WithWorkers(4))
 	got, err := reused.RunAll(ctx, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewCampaign(BenchScale)
-	fresh.Workers = 4
-	fresh.DisableArenaReuse = true
+	fresh := NewCampaign(BenchScale, WithWorkers(4), WithoutArenaReuse())
 	want, err := fresh.RunAll(ctx, cfgs)
 	if err != nil {
 		t.Fatal(err)
@@ -114,8 +111,7 @@ func TestConfigCacheKeyIsCanonicalJSON(t *testing.T) {
 // short-circuit contract: one failing work item must surface immediately
 // even while a sibling is still running.
 func TestCampaignParallelReturnsFirstErrorWithoutDraining(t *testing.T) {
-	c := NewCampaign(BenchScale)
-	c.Workers = 2
+	c := NewCampaign(BenchScale, WithWorkers(2))
 	c.init()
 	boom := errors.New("boom")
 	hang := make(chan struct{})
@@ -145,8 +141,7 @@ func TestCampaignParallelReturnsFirstErrorWithoutDraining(t *testing.T) {
 // failure never executes: once the abort flag is up, slot acquisition
 // bails out before running.
 func TestCampaignSkipsQueuedWorkAfterError(t *testing.T) {
-	c := NewCampaign(BenchScale)
-	c.Workers = 1
+	c := NewCampaign(BenchScale, WithWorkers(1))
 	c.init()
 	ctx := context.Background()
 	boom := errors.New("boom")
@@ -191,7 +186,7 @@ func TestRunCancelledMidRunReturnsCtxErr(t *testing.T) {
 	}()
 	// A budget far beyond what 30 ms of wall time can simulate.
 	_, err := Run(ctx, Chain(8),
-		WithTransport(TransportSpec{Protocol: Vegas}),
+		WithTransport(TransportSpec{Name: "vegas"}),
 		WithSeed(1),
 		WithPackets(10_000_000, 1_000_000),
 	)
@@ -208,7 +203,7 @@ func TestRunCancelledMidRunReturnsCtxErr(t *testing.T) {
 func TestRunPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, Chain(2), WithTransport(TransportSpec{Protocol: Vegas}), WithPackets(1100, 100))
+	_, err := Run(ctx, Chain(2), WithTransport(TransportSpec{Name: "vegas"}), WithPackets(1100, 100))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -263,7 +258,7 @@ func TestCampaignSweepAggregatesSeeds(t *testing.T) {
 	c := NewCampaign(BenchScale)
 	cells, err := c.Sweep(context.Background(), Sweep{
 		Scenarios:  []*Scenario{Chain(2)},
-		Transports: []TransportSpec{{Protocol: Vegas, Alpha: 2}, {Protocol: NewReno}},
+		Transports: []TransportSpec{{Name: "vegas", Alpha: 2}, {Name: "newreno"}},
 		Rates:      []Rate{Rate2Mbps},
 		Seeds:      []int64{1, 2, 3},
 	})
@@ -287,8 +282,8 @@ func TestCampaignSweepAggregatesSeeds(t *testing.T) {
 			if r.Config.Seed != cell.Seeds[i] {
 				t.Errorf("run %d has seed %d, want %d", i, r.Config.Seed, cell.Seeds[i])
 			}
-			if r.Config.Transport.Protocol != cell.Transport.Protocol {
-				t.Errorf("run %d transport %v, want %v", i, r.Config.Transport.Protocol, cell.Transport.Protocol)
+			if r.Config.Transport.Name != cell.Transport.Name {
+				t.Errorf("run %d transport %q, want %q", i, r.Config.Transport.Name, cell.Transport.Name)
 			}
 		}
 	}
@@ -316,7 +311,7 @@ func TestCampaignRejectsObserver(t *testing.T) {
 func storeSweep(seeds ...int64) Sweep {
 	return Sweep{
 		Scenarios:  []*Scenario{Chain(2), Chain(3)},
-		Transports: []TransportSpec{{Protocol: Vegas, Alpha: 2}, {Protocol: NewReno}},
+		Transports: []TransportSpec{{Name: "vegas", Alpha: 2}, {Name: "newreno"}},
 		Seeds:      seeds,
 		Base:       Config{TotalPackets: 550, BatchPackets: 50},
 	}
@@ -497,7 +492,7 @@ func TestCellKeyAddressing(t *testing.T) {
 		}
 	}
 	// Independently built equal scenarios address the same cell.
-	if k := NewCellKey(Chain(2), TransportSpec{Protocol: Vegas, Alpha: 2}, 0, LinkModelSpec{}, nil, []int64{1, 2}); k != cells[0].Key {
+	if k := NewCellKey(Chain(2), TransportSpec{Name: "vegas", Alpha: 2}, 0, LinkModelSpec{}, nil, []int64{1, 2}); k != cells[0].Key {
 		t.Fatalf("independently built key %s, want %s", k, cells[0].Key)
 	}
 	if _, ok := FindCell(cells, CellKey("nope")); ok {
@@ -507,18 +502,8 @@ func TestCellKeyAddressing(t *testing.T) {
 
 func TestCampaignOptionsConfigure(t *testing.T) {
 	c := NewCampaign(BenchScale, WithWorkers(3), WithoutArenaReuse())
-	if c.Workers != 3 || !c.DisableArenaReuse {
-		t.Fatalf("options not applied: workers=%d reuse-disabled=%v", c.Workers, c.DisableArenaReuse)
-	}
-	// The deprecated field forms keep working.
-	legacy := NewCampaign(BenchScale)
-	legacy.Workers = 2
-	legacy.DisableArenaReuse = true
-	if _, err := legacy.Run(context.Background(), benchChainCfg(2)); err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Workers != 2 {
-		t.Fatal("legacy Workers field overridden by init")
+	if c.workers != 3 || !c.noArenaReuse {
+		t.Fatalf("options not applied: workers=%d reuse-disabled=%v", c.workers, c.noArenaReuse)
 	}
 }
 
@@ -552,7 +537,7 @@ func TestOptimalUDPGapProbesPersist(t *testing.T) {
 func TestCampaignHonorsExplicitBudget(t *testing.T) {
 	c := NewCampaign(PaperScale) // 110000 packets by default
 	res, err := c.RunScenario(context.Background(), Chain(2),
-		WithTransport(TransportSpec{Protocol: Vegas}),
+		WithTransport(TransportSpec{Name: "vegas"}),
 		WithPackets(550, 50))
 	if err != nil {
 		t.Fatal(err)

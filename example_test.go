@@ -16,7 +16,7 @@ import (
 func ExampleRun() {
 	res, err := manetsim.Run(context.Background(), manetsim.Chain(7),
 		manetsim.WithBandwidth(manetsim.Rate2Mbps),
-		manetsim.WithTransport(manetsim.TransportSpec{Protocol: manetsim.Vegas}),
+		manetsim.WithTransport(manetsim.TransportSpec{Name: "vegas"}),
 		manetsim.WithSeed(1),
 	)
 	if err != nil {
@@ -35,11 +35,11 @@ func ExampleNewScenario() {
 	sink := scn.AddNode(200, 100)
 	scn.Add(manetsim.Flow{
 		Src: left, Dst: sink,
-		Transport: manetsim.TransportSpec{Protocol: manetsim.Vegas},
+		Transport: manetsim.TransportSpec{Name: "vegas"},
 	})
 	scn.Add(manetsim.Flow{
 		Src: right, Dst: sink,
-		Transport: manetsim.TransportSpec{Protocol: manetsim.NewReno},
+		Transport: manetsim.TransportSpec{Name: "newreno"},
 		Start:     2 * time.Second,
 	})
 
@@ -58,7 +58,7 @@ func ExampleNewScenario() {
 // classified route failures, transport retransmissions and progress.
 func ExampleWithObserver() {
 	res, err := manetsim.Run(context.Background(), manetsim.Chain(4),
-		manetsim.WithTransport(manetsim.TransportSpec{Protocol: manetsim.NewReno}),
+		manetsim.WithTransport(manetsim.TransportSpec{Name: "newreno"}),
 		manetsim.WithPackets(11000, 1000),
 		manetsim.WithObserver(manetsim.ObserverFuncs{
 			Progress: func(delivered, total int64, simTime time.Duration) {
@@ -84,9 +84,9 @@ func ExampleCampaign_Sweep() {
 	cells, err := campaign.Sweep(context.Background(), manetsim.Sweep{
 		Scenarios: []*manetsim.Scenario{manetsim.Grid()},
 		Transports: []manetsim.TransportSpec{
-			{Protocol: manetsim.Vegas},
-			{Protocol: manetsim.Vegas, AckThinning: true},
-			{Protocol: manetsim.NewReno},
+			{Name: "vegas"},
+			{Name: "vegas", AckThinning: true},
+			{Name: "newreno"},
 		},
 		Rates: []manetsim.Rate{manetsim.Rate2Mbps, manetsim.Rate11Mbps},
 		Seeds: []int64{1, 2, 3},
@@ -110,7 +110,7 @@ func ExampleWorld() {
 	w := manetsim.NewWorld()
 	cfg := manetsim.Config{
 		Scenario:     manetsim.Chain(4),
-		Transport:    manetsim.TransportSpec{Protocol: manetsim.Vegas},
+		Transport:    manetsim.TransportSpec{Name: "vegas"},
 		Seed:         1,
 		TotalPackets: 2200,
 		BatchPackets: 200,
@@ -129,7 +129,7 @@ func ExampleWorld() {
 
 // Campaign pools one arena per worker automatically, so a seed-replicate
 // sweep reuses each worker's world instead of rebuilding it for every run.
-// Nothing to configure — DisableArenaReuse exists to force fresh builds,
+// Nothing to configure — WithoutArenaReuse exists to force fresh builds,
 // and results are identical either way.
 func ExampleCampaign_arenaReuse() {
 	campaign := manetsim.NewCampaign(manetsim.QuickScale)
@@ -137,7 +137,7 @@ func ExampleCampaign_arenaReuse() {
 	for seed := int64(1); seed <= 8; seed++ {
 		cfgs = append(cfgs, manetsim.Config{
 			Scenario:  manetsim.Chain(3),
-			Transport: manetsim.TransportSpec{Protocol: manetsim.Vegas},
+			Transport: manetsim.TransportSpec{Name: "vegas"},
 			Seed:      seed,
 		})
 	}
@@ -205,7 +205,7 @@ func ExampleRun_cancellation() {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	_, err := manetsim.Run(ctx, manetsim.Random(),
-		manetsim.WithTransport(manetsim.TransportSpec{Protocol: manetsim.Vegas}))
+		manetsim.WithTransport(manetsim.TransportSpec{Name: "vegas"}))
 	fmt.Println(err) // context.DeadlineExceeded once the budget is hit
 }
 
@@ -223,7 +223,7 @@ func ExampleCampaign_resume() {
 
 	sweep := manetsim.Sweep{
 		Scenarios:  []*manetsim.Scenario{manetsim.Chain(2)},
-		Transports: []manetsim.TransportSpec{{Protocol: manetsim.Vegas}, {Protocol: manetsim.NewReno}},
+		Transports: []manetsim.TransportSpec{{Name: "vegas"}, {Name: "newreno"}},
 		Seeds:      []int64{1, 2},
 		Base:       manetsim.Config{TotalPackets: 550, BatchPackets: 50},
 	}

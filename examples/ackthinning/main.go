@@ -31,10 +31,10 @@ func demoPackets(def int64) int64 {
 
 func main() {
 	transports := []manetsim.TransportSpec{
-		{Protocol: manetsim.Vegas},
-		{Protocol: manetsim.Vegas, AckThinning: true},
-		{Protocol: manetsim.NewReno},
-		{Protocol: manetsim.NewReno, AckThinning: true},
+		{Name: "vegas"},
+		{Name: "vegas", AckThinning: true},
+		{Name: "newreno"},
+		{Name: "newreno", AckThinning: true},
 	}
 	rates := []manetsim.Rate{manetsim.Rate2Mbps, manetsim.Rate5_5Mbps, manetsim.Rate11Mbps}
 

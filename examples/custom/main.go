@@ -51,16 +51,16 @@ func main() {
 	// the crossing arm, and paced UDP adds constant cross traffic.
 	scn.Add(manetsim.Flow{
 		Src: west[2], Dst: east[2],
-		Transport: manetsim.TransportSpec{Protocol: manetsim.Vegas},
+		Transport: manetsim.TransportSpec{Name: "vegas"},
 	})
 	scn.Add(manetsim.Flow{
 		Src: north[2], Dst: south[2],
-		Transport: manetsim.TransportSpec{Protocol: manetsim.NewReno},
+		Transport: manetsim.TransportSpec{Name: "newreno"},
 		Start:     5 * time.Second,
 	})
 	scn.Add(manetsim.Flow{
 		Src: north[0], Dst: west[0],
-		Transport: manetsim.TransportSpec{Protocol: manetsim.PacedUDP, UDPGap: 120 * time.Millisecond},
+		Transport: manetsim.TransportSpec{Name: "pacedudp", UDPGap: 120 * time.Millisecond},
 		Start:     10 * time.Second,
 	})
 

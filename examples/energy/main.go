@@ -35,10 +35,10 @@ func main() {
 		t    manetsim.TransportSpec
 	}
 	for _, v := range []row{
-		{"Vegas", manetsim.TransportSpec{Protocol: manetsim.Vegas}},
-		{"Vegas + thinning", manetsim.TransportSpec{Protocol: manetsim.Vegas, AckThinning: true}},
-		{"NewReno", manetsim.TransportSpec{Protocol: manetsim.NewReno}},
-		{"NewReno + thinning", manetsim.TransportSpec{Protocol: manetsim.NewReno, AckThinning: true}},
+		{"Vegas", manetsim.TransportSpec{Name: "vegas"}},
+		{"Vegas + thinning", manetsim.TransportSpec{Name: "vegas", AckThinning: true}},
+		{"NewReno", manetsim.TransportSpec{Name: "newreno"}},
+		{"NewReno + thinning", manetsim.TransportSpec{Name: "newreno", AckThinning: true}},
 	} {
 		res, err := manetsim.Run(context.Background(), manetsim.Chain(8),
 			manetsim.WithBandwidth(manetsim.Rate2Mbps),

@@ -33,10 +33,10 @@ func main() {
 		name string
 		t    manetsim.TransportSpec
 	}{
-		{"Vegas", manetsim.TransportSpec{Protocol: manetsim.Vegas}},
-		{"NewReno", manetsim.TransportSpec{Protocol: manetsim.NewReno}},
-		{"Vegas + ACK thinning", manetsim.TransportSpec{Protocol: manetsim.Vegas, AckThinning: true}},
-		{"NewReno + ACK thinning", manetsim.TransportSpec{Protocol: manetsim.NewReno, AckThinning: true}},
+		{"Vegas", manetsim.TransportSpec{Name: "vegas"}},
+		{"NewReno", manetsim.TransportSpec{Name: "newreno"}},
+		{"Vegas + ACK thinning", manetsim.TransportSpec{Name: "vegas", AckThinning: true}},
+		{"NewReno + ACK thinning", manetsim.TransportSpec{Name: "newreno", AckThinning: true}},
 	}
 
 	fmt.Println("21-node grid, 6 competing FTP flows, 11 Mbit/s:")

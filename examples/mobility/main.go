@@ -45,7 +45,7 @@ func main() {
 		}
 		res, err := manetsim.Run(context.Background(), scn,
 			manetsim.WithBandwidth(manetsim.Rate2Mbps),
-			manetsim.WithTransport(manetsim.TransportSpec{Protocol: manetsim.Vegas}),
+			manetsim.WithTransport(manetsim.TransportSpec{Name: "vegas"}),
 			manetsim.WithSeed(1),
 			// Reduced scale for a fast demo.
 			manetsim.WithPackets(demoPackets(11000), 0),

@@ -28,7 +28,7 @@ func demoPackets(def int64) int64 {
 func main() {
 	res, err := manetsim.Run(context.Background(), manetsim.Chain(7),
 		manetsim.WithBandwidth(manetsim.Rate2Mbps),
-		manetsim.WithTransport(manetsim.TransportSpec{Protocol: manetsim.Vegas}),
+		manetsim.WithTransport(manetsim.TransportSpec{Name: "vegas"}),
 		manetsim.WithSeed(1),
 		// Reduced scale for a fast demo; drop this option for the paper's
 		// full 110000-packet methodology.

@@ -33,8 +33,8 @@ func main() {
 		name string
 		t    manetsim.TransportSpec
 	}{
-		{"Vegas", manetsim.TransportSpec{Protocol: manetsim.Vegas}},
-		{"NewReno", manetsim.TransportSpec{Protocol: manetsim.NewReno}},
+		{"Vegas", manetsim.TransportSpec{Name: "vegas"}},
+		{"NewReno", manetsim.TransportSpec{Name: "newreno"}},
 	} {
 		res, err := manetsim.Run(context.Background(), manetsim.Random(),
 			manetsim.WithBandwidth(manetsim.Rate11Mbps),

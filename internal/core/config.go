@@ -21,34 +21,6 @@ import (
 	"manetsim/internal/phy"
 )
 
-// Protocol selects the transport variant under test.
-type Protocol int
-
-// Transport protocols: the paper's three plus the classic Reno and Tahoe
-// baselines from the related-work comparisons.
-const (
-	ProtoVegas Protocol = iota + 1
-	ProtoNewReno
-	ProtoPacedUDP
-	ProtoReno
-	ProtoTahoe
-)
-
-var protoNames = map[Protocol]string{
-	ProtoVegas:    "Vegas",
-	ProtoNewReno:  "NewReno",
-	ProtoPacedUDP: "PacedUDP",
-	ProtoReno:     "Reno",
-	ProtoTahoe:    "Tahoe",
-}
-
-func (p Protocol) String() string {
-	if s, ok := protoNames[p]; ok {
-		return s
-	}
-	return fmt.Sprintf("proto(%d)", int(p))
-}
-
 // Params carries the optional per-variant transport parameters. The zero
 // value of every field selects the variant's default, so specs only spell
 // out what they change; fields irrelevant to the selected transport are
@@ -74,16 +46,13 @@ type Params struct {
 
 // TransportSpec configures the transport layer of a flow (or, as
 // Config.Transport, the default for every flow that does not set its own).
-// A spec selects its variant either by registry Name (any transport,
-// including ones added with RegisterCC) or by the legacy Protocol
-// constant, which resolves through the registry too.
+// A spec selects its variant by registry Name: any built-in transport or
+// one added with RegisterCC.
 type TransportSpec struct {
 	// Name selects a registered transport by name (case-insensitive),
-	// e.g. "vegas", "westwood", "pacing". When empty, Protocol selects
-	// the variant instead.
+	// e.g. "vegas", "westwood", "pacing".
 	Name string `json:",omitempty"`
 
-	Protocol    Protocol
 	AckThinning bool // Altman-Jiménez dynamic delayed ACKs (TCP only)
 	DelayedAck  bool // standard RFC 1122 delayed ACKs (TCP only)
 	// Alpha is the Vegas α=β=γ threshold in packets (default 2).
@@ -92,7 +61,7 @@ type TransportSpec struct {
 	// paper finds MaxWin=3 optimal for the 7-hop chain). 0 = unbounded.
 	MaxWindow int
 	// UDPGap is the paced-UDP inter-packet interval (required for
-	// ProtoPacedUDP).
+	// "pacedudp").
 	UDPGap time.Duration
 
 	// Params carries the variant-specific tuning knobs (Vegas β/γ,
@@ -101,25 +70,19 @@ type TransportSpec struct {
 }
 
 // IsZero reports whether the spec is entirely unset. A zero per-flow spec
-// inherits the run default; anything else — a Name, a Protocol, or bare
-// options — replaces it.
+// inherits the run default; anything else — a Name or bare options —
+// replaces it.
 func (t TransportSpec) IsZero() bool { return t == TransportSpec{} }
-
-// selected reports whether the spec names a transport at all (by registry
-// name or legacy protocol constant).
-func (t TransportSpec) selected() bool { return t.Name != "" || t.Protocol != 0 }
 
 // Label renders the spec the way the paper labels its curves.
 func (t TransportSpec) Label() string {
 	s := t.Name
-	proto := t.Protocol
-	if tr, err := resolveTransport(t); err == nil {
+	vegas := false
+	if tr, err := transportReg.lookup(t.Name); err == nil {
 		s = tr.label
-		proto = tr.proto
-	} else if s == "" {
-		s = t.Protocol.String()
+		vegas = tr.name == "vegas"
 	}
-	if proto == ProtoVegas && t.Alpha != 0 && t.Alpha != 2 {
+	if vegas && t.Alpha != 0 && t.Alpha != 2 {
 		s = fmt.Sprintf("%s(α=%d)", s, t.Alpha)
 	}
 	if t.MaxWindow > 0 {
@@ -135,48 +98,51 @@ func (t TransportSpec) Label() string {
 }
 
 // validate reports misconfigurations with the field spelled out so sweep
-// failures point at the offending spec. allowZero accepts a spec that
-// selects no transport (a per-flow spec inheriting the run default).
-func (t TransportSpec) validate(where string, allowZero bool) error {
-	if !t.selected() {
+// failures point at the offending spec, and returns the registry entry
+// the spec selects. allowZero accepts a spec that selects no transport (a
+// per-flow spec inheriting the run default); its entry is nil.
+func (t TransportSpec) validate(where string, allowZero bool) (*transport, error) {
+	if t.Name == "" {
 		if allowZero {
-			return nil
+			return nil, nil
 		}
-		return fmt.Errorf("core: %s: no transport protocol set (set Name to a registered transport — e.g. %s — or a Protocol constant)",
-			where, strings.Join(transportNames(), ", "))
+		return nil, fmt.Errorf("core: %s: no transport protocol set (set Name to a registered transport — e.g. %s)",
+			where, strings.Join(transportReg.names(), ", "))
 	}
-	tr, err := resolveTransport(t)
+	tr, err := transportReg.lookup(t.Name)
 	if err != nil {
-		return fmt.Errorf("%v (%s)", err, where)
+		return nil, fmt.Errorf("%v (%s)", err, where)
 	}
 	if t.Alpha < 0 {
-		return fmt.Errorf("core: %s: negative Vegas Alpha %d (threshold is in packets, >= 0)", where, t.Alpha)
+		return nil, fmt.Errorf("core: %s: negative Vegas Alpha %d (threshold is in packets, >= 0)", where, t.Alpha)
 	}
 	if t.Params.Beta < 0 || t.Params.Gamma < 0 {
-		return fmt.Errorf("core: %s: negative Vegas threshold (Beta=%d, Gamma=%d; packets, >= 0)", where, t.Params.Beta, t.Params.Gamma)
+		return nil, fmt.Errorf("core: %s: negative Vegas threshold (Beta=%d, Gamma=%d; packets, >= 0)", where, t.Params.Beta, t.Params.Gamma)
 	}
 	if t.Params.BWFilterGain < 0 {
-		return fmt.Errorf("core: %s: negative BWFilterGain %g", where, t.Params.BWFilterGain)
+		return nil, fmt.Errorf("core: %s: negative BWFilterGain %g", where, t.Params.BWFilterGain)
 	}
 	if t.Params.CoVWeight < 0 {
-		return fmt.Errorf("core: %s: negative CoVWeight %g", where, t.Params.CoVWeight)
+		return nil, fmt.Errorf("core: %s: negative CoVWeight %g", where, t.Params.CoVWeight)
 	}
 	if t.Params.MinPaceGap < 0 {
-		return fmt.Errorf("core: %s: negative MinPaceGap %v", where, t.Params.MinPaceGap)
+		return nil, fmt.Errorf("core: %s: negative MinPaceGap %v", where, t.Params.MinPaceGap)
 	}
 	if t.MaxWindow < 0 {
-		return fmt.Errorf("core: %s: negative MaxWindow %d (0 means unbounded)", where, t.MaxWindow)
+		return nil, fmt.Errorf("core: %s: negative MaxWindow %d (0 means unbounded)", where, t.MaxWindow)
 	}
 	if t.UDPGap < 0 {
-		return fmt.Errorf("core: %s: negative UDPGap %v", where, t.UDPGap)
+		return nil, fmt.Errorf("core: %s: negative UDPGap %v", where, t.UDPGap)
 	}
 	if t.AckThinning && t.DelayedAck {
-		return fmt.Errorf("core: %s: AckThinning and DelayedAck are mutually exclusive", where)
+		return nil, fmt.Errorf("core: %s: AckThinning and DelayedAck are mutually exclusive", where)
 	}
 	if tr.check != nil {
-		return tr.check(t, where)
+		if err := tr.check(t, where); err != nil {
+			return nil, err
+		}
 	}
-	return nil
+	return tr, nil
 }
 
 // MobilityKind selects the node movement model.
@@ -379,7 +345,7 @@ func (c Config) validate() error {
 	if c.Scenario == nil {
 		return fmt.Errorf("core: Config.Scenario is nil; build one with NewScenario/AddNode or the Chain/Grid/Random constructors")
 	}
-	if err := c.Transport.validate("Config.Transport", true); err != nil {
+	if _, err := c.Transport.validate("Config.Transport", true); err != nil {
 		return err
 	}
 	epoch := c.Scenario.Mobility.UpdateInterval

@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"manetsim/internal/fault"
@@ -77,7 +75,7 @@ func PartitionFault(cut float64, at, duration time.Duration) FaultSpec {
 // Label renders the spec for sweep axes, outage reports and listings.
 func (f FaultSpec) Label() string {
 	name := strings.ToLower(f.Name)
-	if e, err := resolveFault(f); err == nil {
+	if e, err := faultReg.lookup(f.Name); err == nil {
 		name = e.name
 	}
 	var s string
@@ -116,38 +114,14 @@ type FaultFactory func(spec FaultSpec) (fault.Fault, error)
 
 // faultEntry is one fault registry entry.
 type faultEntry struct {
-	name    string   // canonical lower-case name
-	aliases []string // additional lookup names
-	desc    string   // one-line description for listings
-	build   FaultFactory
+	plugin
+	build FaultFactory
 	// check validates injector-specific spec parameters against the
 	// scenario's node count; the generic time checks run before it.
 	check func(f FaultSpec, where string, numNodes int) error
 }
 
-var (
-	fltRegMu     sync.RWMutex
-	fltRegistry  = map[string]*faultEntry{} // every name and alias
-	fltCanonical []*faultEntry              // registration order, canonical entries only
-)
-
-// registerFault adds one entry under its canonical name and aliases.
-func registerFault(e *faultEntry) {
-	fltRegMu.Lock()
-	defer fltRegMu.Unlock()
-	names := append([]string{e.name}, e.aliases...)
-	for _, n := range names {
-		n = strings.ToLower(n)
-		if n == "" {
-			panic("core: empty fault name")
-		}
-		if _, dup := fltRegistry[n]; dup {
-			panic(fmt.Sprintf("core: fault %q registered twice", n))
-		}
-		fltRegistry[n] = e
-	}
-	fltCanonical = append(fltCanonical, e)
-}
+var faultReg = registry[*faultEntry]{kind: "fault"}
 
 // RegisterFault registers a fault injector under name, making it
 // selectable everywhere a FaultSpec goes: Run options, Campaign sweeps
@@ -158,68 +132,18 @@ func RegisterFault(name string, factory FaultFactory) {
 	if factory == nil {
 		panic("core: nil fault factory")
 	}
-	registerFault(&faultEntry{
-		name:  strings.ToLower(name),
-		desc:  "registered fault injector",
-		build: factory,
+	faultReg.register(&faultEntry{
+		plugin: plugin{name: strings.ToLower(name), desc: "registered fault injector"},
+		build:  factory,
 	})
 }
 
-// FaultInfo describes one registered fault injector for listings.
-type FaultInfo struct {
-	// Name selects the injector in FaultSpec.Name.
-	Name string
-	// Aliases are accepted alternative names.
-	Aliases []string
-	// Description is a one-line summary.
-	Description string
-}
-
 // Faults lists every registered fault injector, sorted by name.
-func Faults() []FaultInfo {
-	fltRegMu.RLock()
-	defer fltRegMu.RUnlock()
-	infos := make([]FaultInfo, 0, len(fltCanonical))
-	for _, e := range fltCanonical {
-		infos = append(infos, FaultInfo{
-			Name:        e.name,
-			Aliases:     append([]string(nil), e.aliases...),
-			Description: e.desc,
-		})
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	return infos
-}
-
-// faultNames returns every registered canonical name, sorted, for
-// unknown-name error messages.
-func faultNames() []string {
-	fltRegMu.RLock()
-	defer fltRegMu.RUnlock()
-	names := make([]string, 0, len(fltCanonical))
-	for _, e := range fltCanonical {
-		names = append(names, e.name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// resolveFault maps a spec to its registry entry.
-func resolveFault(f FaultSpec) (*faultEntry, error) {
-	name := strings.ToLower(f.Name)
-	fltRegMu.RLock()
-	e := fltRegistry[name]
-	fltRegMu.RUnlock()
-	if e == nil {
-		return nil, fmt.Errorf("core: unknown fault %q (registered: %s)",
-			f.Name, strings.Join(faultNames(), ", "))
-	}
-	return e, nil
-}
+func Faults() []PluginInfo { return faultReg.list() }
 
 // buildFault materializes the spec's injector for one run.
 func buildFault(f FaultSpec) (fault.Fault, error) {
-	e, err := resolveFault(f)
+	e, err := faultReg.lookup(f.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +162,7 @@ func checkNode(where, field string, id, numNodes int) error {
 // mirroring LinkModelSpec.validate. numNodes is the scenario's node count
 // for bounds checks.
 func (f FaultSpec) validate(where string, numNodes int) error {
-	e, err := resolveFault(f)
+	e, err := faultReg.lookup(f.Name)
 	if err != nil {
 		return fmt.Errorf("%v (%s)", err, where)
 	}
@@ -300,17 +224,17 @@ func nodeIDs(ids []int) []pkt.NodeID {
 }
 
 func init() {
-	registerFault(&faultEntry{
-		name: "crash", aliases: []string{"nodecrash"},
-		desc: "node crash: radio, MAC, router and transports go down at At, restart cold after Duration (0 = forever)",
+	faultReg.register(&faultEntry{
+		plugin: plugin{name: "crash", aliases: []string{"nodecrash"},
+			desc: "node crash: radio, MAC, router and transports go down at At, restart cold after Duration (0 = forever)"},
 		build: func(f FaultSpec) (fault.Fault, error) {
 			return fault.NodeCrash{Node: pkt.NodeID(f.Node), At: sim.Time(f.At), Downtime: sim.Time(f.Duration)}, nil
 		},
 		check: checkCrash,
 	})
-	registerFault(&faultEntry{
-		name: "blackout", aliases: []string{"linkblackout"},
-		desc: "link blackout: frames From->To (both ways with Bidirectional) stop decoding over [At, At+Duration)",
+	faultReg.register(&faultEntry{
+		plugin: plugin{name: "blackout", aliases: []string{"linkblackout"},
+			desc: "link blackout: frames From->To (both ways with Bidirectional) stop decoding over [At, At+Duration)"},
 		build: func(f FaultSpec) (fault.Fault, error) {
 			return fault.LinkBlackout{
 				From: pkt.NodeID(f.From), To: pkt.NodeID(f.To), Bidirectional: f.Bidirectional,
@@ -319,9 +243,9 @@ func init() {
 		},
 		check: checkBlackout,
 	})
-	registerFault(&faultEntry{
-		name: "partition", aliases: []string{"split"},
-		desc: "network partition: an axis cut (Axis/Cut) or explicit node set (NodesA) splits the network over [At, At+Duration)",
+	faultReg.register(&faultEntry{
+		plugin: plugin{name: "partition", aliases: []string{"split"},
+			desc: "network partition: an axis cut (Axis/Cut) or explicit node set (NodesA) splits the network over [At, At+Duration)"},
 		build: func(f FaultSpec) (fault.Fault, error) {
 			return fault.Partition{
 				At: sim.Time(f.At), Duration: sim.Time(f.Duration),

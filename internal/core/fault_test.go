@@ -89,7 +89,7 @@ func TestFaultConformance(t *testing.T) {
 // byte-identical; different seed diverges; and the fault schedule itself
 // changes the outcome.
 func TestFaultedRunsDeterministicPerSeed(t *testing.T) {
-	tspec := TransportSpec{Protocol: ProtoNewReno}
+	tspec := TransportSpec{Name: "newreno"}
 	crash := CrashFault(2, 2*time.Second, 2*time.Second)
 	a, err := Run(faultChainConfig(tspec, crash))
 	if err != nil {
@@ -124,7 +124,7 @@ func TestFaultedRunsDeterministicPerSeed(t *testing.T) {
 // the subsystem in their JSON encoding — the identity behind cache keys
 // and golden hashes predating it.
 func TestFaultFreeResultOmitsReport(t *testing.T) {
-	res, err := Run(faultChainConfig(TransportSpec{Protocol: ProtoNewReno}))
+	res, err := Run(faultChainConfig(TransportSpec{Name: "newreno"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestCrashEndpointNodes(t *testing.T) {
 		{"source", 0},
 		{"sink", 4},
 	} {
-		cfg := faultChainConfig(TransportSpec{Protocol: ProtoVegas},
+		cfg := faultChainConfig(TransportSpec{Name: "vegas"},
 			CrashFault(tc.node, 2*time.Second, 1*time.Second))
 		fresh, err := Run(cfg)
 		if err != nil {
@@ -175,7 +175,7 @@ func TestCrashEndpointNodes(t *testing.T) {
 // time: the application must launch when the node restarts, not during
 // the outage and not never.
 func TestCrashBeforeFlowStart(t *testing.T) {
-	cfg := faultChainConfig(TransportSpec{Protocol: ProtoNewReno},
+	cfg := faultChainConfig(TransportSpec{Name: "newreno"},
 		CrashFault(0, 1*time.Millisecond, 3*time.Second))
 	res, err := Run(cfg)
 	if err != nil {
@@ -193,7 +193,7 @@ func TestCrashBeforeFlowStart(t *testing.T) {
 // the chain; the run must end at MaxSimTime with the outage marked
 // unhealed.
 func TestPermanentCrashTruncates(t *testing.T) {
-	cfg := faultChainConfig(TransportSpec{Protocol: ProtoNewReno},
+	cfg := faultChainConfig(TransportSpec{Name: "newreno"},
 		CrashFault(2, 2*time.Second, 0))
 	cfg.MaxSimTime = 20 * time.Second
 	res, err := Run(cfg)
@@ -216,7 +216,7 @@ func TestPermanentCrashTruncates(t *testing.T) {
 // simulation state is built.
 func TestFaultSpecValidation(t *testing.T) {
 	base := func(f FaultSpec) Config {
-		return faultChainConfig(TransportSpec{Protocol: ProtoNewReno}, f)
+		return faultChainConfig(TransportSpec{Name: "newreno"}, f)
 	}
 	cases := []struct {
 		name string
@@ -244,7 +244,7 @@ func TestFaultSpecValidation(t *testing.T) {
 // and resolvable case-insensitively.
 func TestFaultRegistryListing(t *testing.T) {
 	infos := Faults()
-	byName := map[string]FaultInfo{}
+	byName := map[string]PluginInfo{}
 	for _, info := range infos {
 		byName[info.Name] = info
 	}
@@ -253,7 +253,7 @@ func TestFaultRegistryListing(t *testing.T) {
 			t.Errorf("built-in fault %q not listed", want)
 		}
 	}
-	if _, err := resolveFault(FaultSpec{Name: "NodeCrash"}); err != nil {
+	if _, err := faultReg.lookup("NodeCrash"); err != nil {
 		t.Errorf("alias lookup is not case-insensitive: %v", err)
 	}
 }
@@ -266,7 +266,7 @@ func TestRegisterFaultCustom(t *testing.T) {
 		// Duration, and again one Duration later.
 		return flapFault{node: f.Node, at: f.At, d: f.Duration}, nil
 	})
-	cfg := faultChainConfig(TransportSpec{Protocol: ProtoNewReno},
+	cfg := faultChainConfig(TransportSpec{Name: "newreno"},
 		FaultSpec{Name: "testflap", Node: 2, At: 2 * time.Second, Duration: time.Second})
 	res, err := Run(cfg)
 	if err != nil {

@@ -8,8 +8,8 @@ import (
 )
 
 func TestRunRenoAndTahoeVariants(t *testing.T) {
-	for _, proto := range []Protocol{ProtoReno, ProtoTahoe} {
-		res, err := Run(smallCfg(Chain(3), TransportSpec{Protocol: proto}))
+	for _, proto := range []string{"reno", "tahoe"} {
+		res, err := Run(smallCfg(Chain(3), TransportSpec{Name: proto}))
 		if err != nil {
 			t.Fatalf("%v: %v", proto, err)
 		}
@@ -23,11 +23,11 @@ func TestRunRenoAndTahoeVariants(t *testing.T) {
 }
 
 func TestRunDelayedAckSink(t *testing.T) {
-	plain, err := Run(smallCfg(Chain(2), TransportSpec{Protocol: ProtoNewReno}))
+	plain, err := Run(smallCfg(Chain(2), TransportSpec{Name: "newreno"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	delack, err := Run(smallCfg(Chain(2), TransportSpec{Protocol: ProtoNewReno, DelayedAck: true}))
+	delack, err := Run(smallCfg(Chain(2), TransportSpec{Name: "newreno", DelayedAck: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,20 +42,20 @@ func TestRunDelayedAckSink(t *testing.T) {
 }
 
 func TestRunRejectsThinningPlusDelack(t *testing.T) {
-	_, err := Run(smallCfg(Chain(2), TransportSpec{Protocol: ProtoNewReno, DelayedAck: true, AckThinning: true}))
+	_, err := Run(smallCfg(Chain(2), TransportSpec{Name: "newreno", DelayedAck: true, AckThinning: true}))
 	if err == nil {
 		t.Error("mutually exclusive ACK policies accepted")
 	}
 }
 
 func TestRunPerFlowTransportMix(t *testing.T) {
-	v := TransportSpec{Protocol: ProtoVegas, Alpha: 2}
-	n := TransportSpec{Protocol: ProtoNewReno}
+	v := TransportSpec{Name: "vegas", Alpha: 2}
+	n := TransportSpec{Name: "newreno"}
 	scn := Grid()
 	for i, tspec := range []TransportSpec{v, v, v, n, n, n} {
 		scn.Flows[i].Transport = tspec
 	}
-	cfg := smallCfg(scn, TransportSpec{Protocol: ProtoVegas})
+	cfg := smallCfg(scn, TransportSpec{Name: "vegas"})
 	cfg.TotalPackets = 2200
 	cfg.BatchPackets = 200
 	res, err := Run(cfg)
@@ -74,8 +74,8 @@ func TestRunPartialPerFlowTransportInheritsDefault(t *testing.T) {
 	// Flows without their own TransportSpec inherit Config.Transport;
 	// a run whose flows mix explicit and inherited transports must work.
 	scn := Grid()
-	scn.Flows[0].Transport = TransportSpec{Protocol: ProtoNewReno}
-	cfg := smallCfg(scn, TransportSpec{Protocol: ProtoVegas})
+	scn.Flows[0].Transport = TransportSpec{Name: "newreno"}
+	cfg := smallCfg(scn, TransportSpec{Name: "vegas"})
 	cfg.TotalPackets = 2200
 	cfg.BatchPackets = 200
 	res, err := Run(cfg)
@@ -88,7 +88,7 @@ func TestRunPartialPerFlowTransportInheritsDefault(t *testing.T) {
 }
 
 func TestRunDelayStatistics(t *testing.T) {
-	res, err := Run(smallCfg(Chain(4), TransportSpec{Protocol: ProtoVegas}))
+	res, err := Run(smallCfg(Chain(4), TransportSpec{Name: "vegas"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestRunDelayStatistics(t *testing.T) {
 }
 
 func TestRunUDPDelayStatistics(t *testing.T) {
-	cfg := smallCfg(Chain(4), TransportSpec{Protocol: ProtoPacedUDP, UDPGap: 40 * time.Millisecond})
+	cfg := smallCfg(Chain(4), TransportSpec{Name: "pacedudp", UDPGap: 40 * time.Millisecond})
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestRunLongChainEstablishesRoute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64-hop run is slow")
 	}
-	cfg := smallCfg(Chain(64), TransportSpec{Protocol: ProtoVegas})
+	cfg := smallCfg(Chain(64), TransportSpec{Name: "vegas"})
 	cfg.TotalPackets = 550
 	cfg.BatchPackets = 50
 	cfg.MaxSimTime = 30 * time.Minute
@@ -145,37 +145,12 @@ func TestRunLongChainEstablishesRoute(t *testing.T) {
 	}
 }
 
-func TestProtocolPredicates(t *testing.T) {
-	// Every legacy Protocol constant resolves through the registry; the
-	// window-based ones carry a strategy factory, paced UDP a raw
-	// endpoint builder.
-	for _, p := range []Protocol{ProtoVegas, ProtoNewReno, ProtoReno, ProtoTahoe} {
-		tr, err := resolveTransport(TransportSpec{Protocol: p})
-		if err != nil {
-			t.Fatalf("%v does not resolve: %v", p, err)
-		}
-		if tr.newCC == nil {
-			t.Errorf("%v should be a window-based (engine) transport", p)
-		}
-	}
-	udp, err := resolveTransport(TransportSpec{Protocol: ProtoPacedUDP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if udp.newCC != nil || udp.build == nil {
-		t.Error("paced UDP should be a raw-endpoint transport, not an engine one")
-	}
-	if ProtoReno.String() != "Reno" || ProtoTahoe.String() != "Tahoe" {
-		t.Error("protocol names wrong")
-	}
-}
-
 func TestBandwidthMonotoneGoodput(t *testing.T) {
 	// More bandwidth must not reduce goodput (sub-linear growth is the
 	// paper's point, but monotonicity should hold).
 	var prev float64
 	for _, r := range []phy.Rate{phy.Rate2Mbps, phy.Rate5_5Mbps, phy.Rate11Mbps} {
-		cfg := smallCfg(Chain(7), TransportSpec{Protocol: ProtoVegas})
+		cfg := smallCfg(Chain(7), TransportSpec{Name: "vegas"})
 		cfg.Bandwidth = r
 		res, err := Run(cfg)
 		if err != nil {

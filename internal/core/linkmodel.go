@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"manetsim/internal/linkmodel"
@@ -110,38 +108,14 @@ type LinkModelFactory func(spec LinkModelSpec) (linkmodel.Model, error)
 
 // linkModelEntry is one link-model registry entry.
 type linkModelEntry struct {
-	name    string   // canonical lower-case name
-	aliases []string // additional lookup names
-	desc    string   // one-line description for listings
-	build   LinkModelFactory
+	plugin
+	build LinkModelFactory
 	// check validates model-specific spec parameters; the generic
 	// probability/jitter checks run before it.
 	check func(l LinkModelSpec, where string) error
 }
 
-var (
-	lmRegMu     sync.RWMutex
-	lmRegistry  = map[string]*linkModelEntry{} // every name and alias
-	lmCanonical []*linkModelEntry              // registration order, canonical entries only
-)
-
-// registerLinkModel adds one entry under its canonical name and aliases.
-func registerLinkModel(e *linkModelEntry) {
-	lmRegMu.Lock()
-	defer lmRegMu.Unlock()
-	names := append([]string{e.name}, e.aliases...)
-	for _, n := range names {
-		n = strings.ToLower(n)
-		if n == "" {
-			panic("core: empty link model name")
-		}
-		if _, dup := lmRegistry[n]; dup {
-			panic(fmt.Sprintf("core: link model %q registered twice", n))
-		}
-		lmRegistry[n] = e
-	}
-	lmCanonical = append(lmCanonical, e)
-}
+var linkModelReg = registry[*linkModelEntry]{kind: "link model"}
 
 // RegisterLinkModel registers a link-impairment model under name, making
 // it selectable everywhere a LinkModelSpec goes: Run options, Campaign
@@ -152,67 +126,22 @@ func RegisterLinkModel(name string, factory LinkModelFactory) {
 	if factory == nil {
 		panic("core: nil link model factory")
 	}
-	registerLinkModel(&linkModelEntry{
-		name:  strings.ToLower(name),
-		desc:  "registered link-impairment model",
-		build: factory,
+	linkModelReg.register(&linkModelEntry{
+		plugin: plugin{name: strings.ToLower(name), desc: "registered link-impairment model"},
+		build:  factory,
 	})
 }
 
-// LinkModelInfo describes one registered link model for listings.
-type LinkModelInfo struct {
-	// Name selects the model in LinkModelSpec.Name.
-	Name string
-	// Aliases are accepted alternative names.
-	Aliases []string
-	// Description is a one-line summary.
-	Description string
-}
-
 // LinkModels lists every registered link model, sorted by name.
-func LinkModels() []LinkModelInfo {
-	lmRegMu.RLock()
-	defer lmRegMu.RUnlock()
-	infos := make([]LinkModelInfo, 0, len(lmCanonical))
-	for _, e := range lmCanonical {
-		infos = append(infos, LinkModelInfo{
-			Name:        e.name,
-			Aliases:     append([]string(nil), e.aliases...),
-			Description: e.desc,
-		})
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	return infos
-}
-
-// linkModelNames returns every registered canonical name, sorted, for
-// unknown-name error messages.
-func linkModelNames() []string {
-	lmRegMu.RLock()
-	defer lmRegMu.RUnlock()
-	names := make([]string, 0, len(lmCanonical))
-	for _, e := range lmCanonical {
-		names = append(names, e.name)
-	}
-	sort.Strings(names)
-	return names
-}
+func LinkModels() []PluginInfo { return linkModelReg.list() }
 
 // resolveLinkModel maps a spec to its registry entry; the empty Name is
 // the perfect channel.
 func resolveLinkModel(l LinkModelSpec) (*linkModelEntry, error) {
-	name := strings.ToLower(l.Name)
-	if name == "" {
-		name = "perfect"
+	if l.Name == "" {
+		return linkModelReg.lookup("perfect")
 	}
-	lmRegMu.RLock()
-	e := lmRegistry[name]
-	lmRegMu.RUnlock()
-	if e == nil {
-		return nil, fmt.Errorf("core: unknown link model %q (registered: %s)",
-			l.Name, strings.Join(linkModelNames(), ", "))
-	}
-	return e, nil
+	return linkModelReg.lookup(l.Name)
 }
 
 // buildLinkModel materializes the spec's model for one run. A perfect
@@ -295,31 +224,31 @@ func checkBER(l LinkModelSpec, where string) error {
 }
 
 func init() {
-	registerLinkModel(&linkModelEntry{
-		name: "perfect",
-		desc: "no impairment: frames within TxRange always decode (the default)",
+	linkModelReg.register(&linkModelEntry{
+		plugin: plugin{name: "perfect",
+			desc: "no impairment: frames within TxRange always decode (the default)"},
 		build: func(LinkModelSpec) (linkmodel.Model, error) {
 			return linkmodel.Perfect{}, nil
 		},
 	})
-	registerLinkModel(&linkModelEntry{
-		name: "uniform", aliases: []string{"loss"},
-		desc: "i.i.d. per-frame loss at LossRate (the random-loss regime TCP misreads as congestion)",
+	linkModelReg.register(&linkModelEntry{
+		plugin: plugin{name: "uniform", aliases: []string{"loss"},
+			desc: "i.i.d. per-frame loss at LossRate (the random-loss regime TCP misreads as congestion)"},
 		build: func(l LinkModelSpec) (linkmodel.Model, error) {
 			return linkmodel.UniformLoss{P: l.LossRate}, nil
 		},
 	})
-	registerLinkModel(&linkModelEntry{
-		name: "ber",
-		desc: "independent bit errors: frames of FrameBits bits survive with (1-BER)^FrameBits",
+	linkModelReg.register(&linkModelEntry{
+		plugin: plugin{name: "ber",
+			desc: "independent bit errors: frames of FrameBits bits survive with (1-BER)^FrameBits"},
 		build: func(l LinkModelSpec) (linkmodel.Model, error) {
 			return linkmodel.NewBERLoss(l.BER, l.FrameBits), nil
 		},
 		check: checkBER,
 	})
-	registerLinkModel(&linkModelEntry{
-		name: "gilbert-elliott", aliases: []string{"ge"},
-		desc: "bursty two-state loss (good/bad states with geometric sojourns)",
+	linkModelReg.register(&linkModelEntry{
+		plugin: plugin{name: "gilbert-elliott", aliases: []string{"ge"},
+			desc: "bursty two-state loss (good/bad states with geometric sojourns)"},
 		build: func(l LinkModelSpec) (linkmodel.Model, error) {
 			return linkmodel.GilbertElliott{
 				PGoodBad: l.PGoodBad, PBadGood: l.PBadGood,
@@ -327,9 +256,9 @@ func init() {
 			}, nil
 		},
 	})
-	registerLinkModel(&linkModelEntry{
-		name: "distance",
-		desc: "gray zone: loss ramps from 0 at TxRange to 1 at CSRange, with decoding extended to CSRange",
+	linkModelReg.register(&linkModelEntry{
+		plugin: plugin{name: "distance",
+			desc: "gray zone: loss ramps from 0 at TxRange to 1 at CSRange, with decoding extended to CSRange"},
 		build: func(LinkModelSpec) (linkmodel.Model, error) {
 			return &linkmodel.DistanceLoss{}, nil
 		},

@@ -165,7 +165,7 @@ func lossyConfig(seed int64) Config {
 	return Config{
 		Scenario: Chain(3),
 		Transport: TransportSpec{
-			Protocol: ProtoNewReno,
+			Name: "newreno",
 		},
 		Seed:         seed,
 		TotalPackets: 880,

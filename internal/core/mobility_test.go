@@ -20,7 +20,7 @@ func mobileGridCfg(maxSpeed float64) Config {
 	}
 	return Config{
 		Scenario:     scn,
-		Transport:    TransportSpec{Protocol: ProtoVegas},
+		Transport:    TransportSpec{Name: "vegas"},
 		Seed:         1,
 		TotalPackets: 1100,
 		BatchPackets: 100,
@@ -61,7 +61,7 @@ func runTwice(t *testing.T, cfg Config) *Result {
 func TestStaticRunDeterministicPerSeed(t *testing.T) {
 	res := runTwice(t, Config{
 		Scenario:     Chain(4),
-		Transport:    TransportSpec{Protocol: ProtoVegas},
+		Transport:    TransportSpec{Name: "vegas"},
 		Seed:         7,
 		TotalPackets: 1100,
 		BatchPackets: 100,

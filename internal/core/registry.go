@@ -5,271 +5,102 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
-
-	"manetsim/internal/tcp"
-	"manetsim/internal/udp"
 )
 
-// CCFactory builds a congestion-control strategy for one flow. The
-// returned strategy is bound into the shared tcp.Engine — which supplies
-// sequence accounting, RTO estimation, the retransmission timer, packet
-// construction and window tracing — so registering a factory is all a new
-// window-based transport needs. The spec carries the per-flow parameters
-// (TransportSpec.Params plus the legacy Alpha/MaxWindow fields).
-type CCFactory func(spec TransportSpec) (tcp.CongestionControl, error)
-
-// rawBuilder attaches fully custom endpoints for transports that are not
-// realized by the shared engine (paced UDP). Internal-only: it needs the
-// live scenario state.
-type rawBuilder func(s *scenarioState, fi int, f Flow, spec TransportSpec) error
-
-// transport is one registry entry.
-type transport struct {
+// plugin is the part every registry entry shares, whatever its kind.
+type plugin struct {
 	name    string   // canonical lower-case name
 	aliases []string // additional lookup names
-	label   string   // display name (the paper's curve labels)
+	label   string   // display name (transports only)
 	desc    string   // one-line description for listings
-	proto   Protocol // legacy enum value backing this entry (0 = none)
-	newCC   CCFactory
-	build   rawBuilder
-	// check validates variant-specific spec parameters; generic checks
-	// (negative values, exclusive ACK policies) run before it.
-	check func(t TransportSpec, where string) error
 }
 
-var (
-	regMu     sync.RWMutex
-	registry  = map[string]*transport{} // every name and alias
-	protoReg  = map[Protocol]*transport{}
-	canonical []*transport // registration order, canonical entries only
-)
+func (p *plugin) meta() *plugin { return p }
 
-// registerTransport adds one entry under its canonical name and aliases.
-func registerTransport(tr *transport) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	names := append([]string{tr.name}, tr.aliases...)
-	for _, n := range names {
-		n = strings.ToLower(n)
-		if n == "" {
-			panic("core: empty transport name")
-		}
-		if _, dup := registry[n]; dup {
-			panic(fmt.Sprintf("core: transport %q registered twice", n))
-		}
-		registry[n] = tr
-	}
-	if tr.proto != 0 {
-		protoReg[tr.proto] = tr
-	}
-	canonical = append(canonical, tr)
-}
-
-// RegisterCC registers a window-based transport under name: specs naming
-// it are realized by the shared engine with the factory's strategy bound
-// in. It is the backing of the public manetsim.RegisterTransport and
-// panics on an empty or duplicate name (registration is a program-setup
-// bug, not a runtime condition).
-func RegisterCC(name string, factory CCFactory) {
-	if factory == nil {
-		panic("core: nil transport factory")
-	}
-	registerTransport(&transport{
-		name:  strings.ToLower(name),
-		label: name,
-		desc:  "registered congestion-control transport",
-		newCC: factory,
-	})
-}
-
-// TransportInfo describes one registered transport for listings.
-type TransportInfo struct {
-	// Name selects the transport in TransportSpec.Name.
+// PluginInfo describes one registered transport, link model or fault
+// injector for listings.
+type PluginInfo struct {
+	// Name selects the plug-in in its spec's Name field.
 	Name string
 	// Aliases are accepted alternative names.
 	Aliases []string
-	// Label is the display name used in figure series and run summaries.
+	// Label is a transport's display name, used in figure series and run
+	// summaries; other kinds leave it empty.
 	Label string
 	// Description is a one-line summary.
 	Description string
 }
 
-// Transports lists every registered transport, sorted by name.
-func Transports() []TransportInfo {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	infos := make([]TransportInfo, 0, len(canonical))
-	for _, tr := range canonical {
-		infos = append(infos, TransportInfo{
-			Name:        tr.name,
-			Aliases:     append([]string(nil), tr.aliases...),
-			Label:       tr.label,
-			Description: tr.desc,
+// registry is a case-insensitive name registry for one kind of plug-in:
+// transports, link models and fault injectors each keep one. The zero
+// value with kind set is ready to use.
+type registry[E interface{ meta() *plugin }] struct {
+	kind    string // spelled out in panics and errors, e.g. "link model"
+	mu      sync.RWMutex
+	byName  map[string]E // every lower-cased name and alias
+	entries []E          // registration order, canonical entries only
+}
+
+// register adds one entry under its canonical name and aliases. It
+// panics on an empty or duplicate name: registration is a program-setup
+// bug, not a runtime condition.
+func (r *registry[E]) register(e E) {
+	p := e.meta()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.byName == nil {
+		r.byName = make(map[string]E)
+	}
+	for _, n := range append([]string{p.name}, p.aliases...) {
+		n = strings.ToLower(n)
+		if n == "" {
+			panic("core: empty " + r.kind + " name")
+		}
+		if _, dup := r.byName[n]; dup {
+			panic(fmt.Sprintf("core: %s %q registered twice", r.kind, n))
+		}
+		r.byName[n] = e
+	}
+	r.entries = append(r.entries, e)
+}
+
+// lookup resolves a name or alias, case-insensitively. The error for an
+// unknown name lists every registered one.
+func (r *registry[E]) lookup(name string) (E, error) {
+	r.mu.RLock()
+	e, ok := r.byName[strings.ToLower(name)]
+	r.mu.RUnlock()
+	if !ok {
+		return e, fmt.Errorf("core: unknown %s %q (registered: %s)",
+			r.kind, name, strings.Join(r.names(), ", "))
+	}
+	return e, nil
+}
+
+// list describes every canonical entry, sorted by name.
+func (r *registry[E]) list() []PluginInfo {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	infos := make([]PluginInfo, 0, len(r.entries))
+	for _, e := range r.entries {
+		p := e.meta()
+		infos = append(infos, PluginInfo{
+			Name:        p.name,
+			Aliases:     append([]string(nil), p.aliases...),
+			Label:       p.label,
+			Description: p.desc,
 		})
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
 }
 
-// transportNames returns every registered canonical name, sorted, for
-// unknown-name error messages.
-func transportNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(canonical))
-	for _, tr := range canonical {
-		names = append(names, tr.name)
+// names returns every canonical name, sorted.
+func (r *registry[E]) names() []string {
+	infos := r.list()
+	names := make([]string, len(infos))
+	for i, info := range infos {
+		names[i] = info.Name
 	}
-	sort.Strings(names)
 	return names
-}
-
-// resolveTransport maps a spec to its registry entry: Name wins when set,
-// otherwise the legacy Protocol constant selects its registry-backed
-// alias.
-func resolveTransport(t TransportSpec) (*transport, error) {
-	if t.Name != "" {
-		regMu.RLock()
-		tr := registry[strings.ToLower(t.Name)]
-		regMu.RUnlock()
-		if tr == nil {
-			return nil, fmt.Errorf("core: unknown transport %q (registered: %s)",
-				t.Name, strings.Join(transportNames(), ", "))
-		}
-		if t.Protocol != 0 && tr.proto != t.Protocol {
-			return nil, fmt.Errorf("core: transport Name %q conflicts with Protocol %v; set one of them", t.Name, t.Protocol)
-		}
-		return tr, nil
-	}
-	regMu.RLock()
-	tr := protoReg[t.Protocol]
-	regMu.RUnlock()
-	if tr == nil {
-		return nil, fmt.Errorf("core: unknown protocol %d", int(t.Protocol))
-	}
-	return tr, nil
-}
-
-// ccConfig maps the spec's transport parameters onto the engine
-// configuration shared by every window-based variant.
-func ccConfig(t TransportSpec) tcp.Config {
-	return tcp.Config{
-		Alpha:        t.Alpha,
-		Beta:         t.Params.Beta,
-		Gamma:        t.Params.Gamma,
-		MaxWindow:    t.MaxWindow,
-		BWFilterGain: t.Params.BWFilterGain,
-		CoVWeight:    t.Params.CoVWeight,
-		MinPaceGap:   t.Params.MinPaceGap,
-	}
-}
-
-// buildPacedUDP attaches the constant-bit-rate UDP source and counting
-// sink (the paper's optimally paced reference transport).
-func buildPacedUDP(s *scenarioState, fi int, f Flow, tspec TransportSpec) error {
-	src, dst := s.nodes[f.Src], s.nodes[f.Dst]
-	usrc := s.arenaUSrc[fi]
-	if usrc != nil {
-		usrc.Reset(fi, f.Src, f.Dst, tspec.UDPGap, src.Output())
-	} else {
-		usrc = udp.NewSender(s.sched, fi, f.Src, f.Dst, tspec.UDPGap, &s.uids, src.Output())
-		s.arenaUSrc[fi] = usrc
-	}
-	usink := s.arenaUSink[fi]
-	if usink != nil {
-		usink.Reset()
-	} else {
-		usink = udp.NewSink()
-		s.arenaUSink[fi] = usink
-	}
-	usink.Delay = s.delay
-	usink.Now = s.sched.Now
-	dst.AttachUDPSink(fi, usink)
-	s.udpSrcs[fi] = usrc
-	s.udpSinks[fi] = usink
-	return nil
-}
-
-// checkVegas validates the Vegas thresholds: α ≤ β (Brakmo's additive
-// increase/decrease band would invert otherwise).
-func checkVegas(t TransportSpec, where string) error {
-	if t.Params.Beta > 0 {
-		alpha := t.Alpha
-		if alpha == 0 {
-			alpha = tcp.DefaultAlpha
-		}
-		if t.Params.Beta < alpha {
-			return fmt.Errorf("core: %s: Vegas Beta %d below Alpha %d (the band is α ≤ diff ≤ β)", where, t.Params.Beta, alpha)
-		}
-	}
-	return nil
-}
-
-// checkPacedUDP requires the pacing interval.
-func checkPacedUDP(t TransportSpec, where string) error {
-	if t.UDPGap == 0 {
-		return fmt.Errorf("core: %s: paced UDP needs UDPGap > 0 (the inter-packet sending interval)", where)
-	}
-	return nil
-}
-
-// checkWestwood bounds the bandwidth filter pole.
-func checkWestwood(t TransportSpec, where string) error {
-	if g := t.Params.BWFilterGain; g < 0 || g >= 1 {
-		return fmt.Errorf("core: %s: Westwood+ BWFilterGain %g outside (0,1) (0 selects the default 0.9)", where, g)
-	}
-	return nil
-}
-
-const day = 24 * time.Hour
-
-// checkPacing bounds the adaptive-pacing knobs.
-func checkPacing(t TransportSpec, where string) error {
-	if t.Params.MinPaceGap > day {
-		return fmt.Errorf("core: %s: adaptive-pacing MinPaceGap %v is absurdly large", where, t.Params.MinPaceGap)
-	}
-	return nil
-}
-
-func init() {
-	registerTransport(&transport{
-		name: "vegas", proto: ProtoVegas, label: "Vegas",
-		desc:  "TCP Vegas: delay-based proactive window control (paper's primary variant)",
-		newCC: func(TransportSpec) (tcp.CongestionControl, error) { return tcp.NewVegasCC(), nil },
-		check: checkVegas,
-	})
-	registerTransport(&transport{
-		name: "newreno", proto: ProtoNewReno, label: "NewReno",
-		desc:  "TCP NewReno: loss-based AIMD with partial-ACK fast recovery (RFC 3782)",
-		newCC: func(TransportSpec) (tcp.CongestionControl, error) { return tcp.NewNewRenoCC(), nil },
-	})
-	registerTransport(&transport{
-		name: "pacedudp", aliases: []string{"udp"}, proto: ProtoPacedUDP, label: "PacedUDP",
-		desc:  "constant-bit-rate UDP at a fixed inter-packet gap (paper's optimal-pacing reference)",
-		build: buildPacedUDP,
-		check: checkPacedUDP,
-	})
-	registerTransport(&transport{
-		name: "reno", proto: ProtoReno, label: "Reno",
-		desc:  "classic TCP Reno: fast recovery exits on the first new ACK (RFC 2581)",
-		newCC: func(TransportSpec) (tcp.CongestionControl, error) { return tcp.NewRenoCC1990(), nil },
-	})
-	registerTransport(&transport{
-		name: "tahoe", proto: ProtoTahoe, label: "Tahoe",
-		desc:  "TCP Tahoe: every loss collapses the window to Winit and slow-starts",
-		newCC: func(TransportSpec) (tcp.CongestionControl, error) { return tcp.NewTahoeCC(), nil },
-	})
-	registerTransport(&transport{
-		name: "westwood", aliases: []string{"westwood+"}, label: "Westwood+",
-		desc:  "TCP Westwood+: backs off to a bandwidth-estimate window instead of blind halving (wireless-loss tolerant)",
-		newCC: func(TransportSpec) (tcp.CongestionControl, error) { return tcp.NewWestwoodCC(), nil },
-		check: checkWestwood,
-	})
-	registerTransport(&transport{
-		name: "pacing", aliases: []string{"adaptivepacing"}, label: "AdaptivePacing",
-		desc:  "rate-based adaptive pacing: spreads the window over srtt + CoVWeight·rttvar instead of ACK-clocked bursts",
-		newCC: func(TransportSpec) (tcp.CongestionControl, error) { return tcp.NewPacingCC(), nil },
-		check: checkPacing,
-	})
 }

@@ -388,10 +388,7 @@ func (s *scenarioState) build(reuse bool) error {
 // through the transport registry: window-based variants share the engine
 // and sink wiring, raw transports (paced UDP) attach their own endpoints.
 func (s *scenarioState) buildFlow(fi int, f Flow, tspec TransportSpec) error {
-	if err := tspec.validate(flowContext(fi), false); err != nil {
-		return err
-	}
-	tr, err := resolveTransport(tspec)
+	tr, err := tspec.validate(flowContext(fi), false)
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,7 @@ func smallCfg(scn *Scenario, tspec TransportSpec) Config {
 }
 
 func TestRunVegasOverTwoHopChain(t *testing.T) {
-	res, err := Run(smallCfg(Chain(2), TransportSpec{Protocol: ProtoVegas}))
+	res, err := Run(smallCfg(Chain(2), TransportSpec{Name: "vegas"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRunVegasOverTwoHopChain(t *testing.T) {
 }
 
 func TestRunNewRenoOverSevenHopChain(t *testing.T) {
-	res, err := Run(smallCfg(Chain(7), TransportSpec{Protocol: ProtoNewReno}))
+	res, err := Run(smallCfg(Chain(7), TransportSpec{Name: "newreno"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestRunNewRenoOverSevenHopChain(t *testing.T) {
 func TestRunPacedUDPOverChain(t *testing.T) {
 	// 40ms gap is safely above t_opt for a 4-hop chain (~30ms zero-
 	// contention pipeline), so nearly all offered load gets through.
-	cfg := smallCfg(Chain(4), TransportSpec{Protocol: ProtoPacedUDP, UDPGap: 40 * time.Millisecond})
+	cfg := smallCfg(Chain(4), TransportSpec{Name: "pacedudp", UDPGap: 40 * time.Millisecond})
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +89,8 @@ func TestRunPacedUDPOverChain(t *testing.T) {
 // TestRunPacedUDPOverdriveLosesPackets pins the paper's Figure 10 left
 // side: pacing faster than t_opt causes heavy hidden-terminal loss.
 func TestRunPacedUDPOverdriveLosesPackets(t *testing.T) {
-	fast := smallCfg(Chain(4), TransportSpec{Protocol: ProtoPacedUDP, UDPGap: 25 * time.Millisecond})
-	slow := smallCfg(Chain(4), TransportSpec{Protocol: ProtoPacedUDP, UDPGap: 40 * time.Millisecond})
+	fast := smallCfg(Chain(4), TransportSpec{Name: "pacedudp", UDPGap: 25 * time.Millisecond})
+	slow := smallCfg(Chain(4), TransportSpec{Name: "pacedudp", UDPGap: 40 * time.Millisecond})
 	rf, err := Run(fast)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestRunPacedUDPOverdriveLosesPackets(t *testing.T) {
 }
 
 func TestRunGridSixFlows(t *testing.T) {
-	cfg := smallCfg(Grid(), TransportSpec{Protocol: ProtoVegas})
+	cfg := smallCfg(Grid(), TransportSpec{Name: "vegas"})
 	cfg.TotalPackets = 2200
 	cfg.BatchPackets = 200
 	res, err := Run(cfg)
@@ -134,7 +134,7 @@ func TestRunRandomTopology(t *testing.T) {
 	if testing.Short() {
 		t.Skip("random topology run is slow")
 	}
-	cfg := smallCfg(Random(), TransportSpec{Protocol: ProtoVegas})
+	cfg := smallCfg(Random(), TransportSpec{Name: "vegas"})
 	cfg.TotalPackets = 1100
 	cfg.BatchPackets = 100
 	cfg.MaxSimTime = 10 * time.Minute
@@ -151,7 +151,7 @@ func TestRunRandomTopology(t *testing.T) {
 }
 
 func TestRunStaticRoutingAblation(t *testing.T) {
-	cfg := smallCfg(Chain(4).WithRouting(RoutingStatic), TransportSpec{Protocol: ProtoVegas})
+	cfg := smallCfg(Chain(4).WithRouting(RoutingStatic), TransportSpec{Name: "vegas"})
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestRunStaticRoutingAblation(t *testing.T) {
 }
 
 func TestRunDeterministicAcrossSeeds(t *testing.T) {
-	cfg := smallCfg(Chain(3), TransportSpec{Protocol: ProtoVegas})
+	cfg := smallCfg(Chain(3), TransportSpec{Name: "vegas"})
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +191,8 @@ func TestRunDeterministicAcrossSeeds(t *testing.T) {
 func TestRunVegasBeatsNewRenoOnChain(t *testing.T) {
 	// The paper's headline (Figure 6): Vegas outperforms NewReno on
 	// multihop chains. Test at 8 hops where the gap peaks (~75%).
-	cfgV := smallCfg(Chain(8), TransportSpec{Protocol: ProtoVegas})
-	cfgN := smallCfg(Chain(8), TransportSpec{Protocol: ProtoNewReno})
+	cfgV := smallCfg(Chain(8), TransportSpec{Name: "vegas"})
+	cfgN := smallCfg(Chain(8), TransportSpec{Name: "newreno"})
 	v, err := Run(cfgV)
 	if err != nil {
 		t.Fatal(err)
@@ -215,17 +215,17 @@ func TestRunVegasBeatsNewRenoOnChain(t *testing.T) {
 }
 
 func TestRunConfigValidation(t *testing.T) {
-	if _, err := Run(Config{Scenario: Chain(0), Transport: TransportSpec{Protocol: ProtoVegas}}); err == nil {
+	if _, err := Run(Config{Scenario: Chain(0), Transport: TransportSpec{Name: "vegas"}}); err == nil {
 		t.Error("zero-hop chain accepted")
 	}
-	if _, err := Run(Config{Transport: TransportSpec{Protocol: ProtoVegas}}); err == nil {
+	if _, err := Run(Config{Transport: TransportSpec{Name: "vegas"}}); err == nil {
 		t.Error("nil scenario accepted")
 	}
-	cfg := smallCfg(Chain(2), TransportSpec{Protocol: ProtoPacedUDP})
+	cfg := smallCfg(Chain(2), TransportSpec{Name: "pacedudp"})
 	if _, err := Run(cfg); err == nil {
 		t.Error("paced UDP without gap accepted")
 	}
-	bad := smallCfg(Chain(2).WithFlows(Flow{Src: 0, Dst: 99}), TransportSpec{Protocol: ProtoVegas})
+	bad := smallCfg(Chain(2).WithFlows(Flow{Src: 0, Dst: 99}), TransportSpec{Name: "vegas"})
 	if _, err := Run(bad); err == nil {
 		t.Error("out-of-range flow accepted")
 	}

@@ -1,0 +1,176 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"time"
+
+	"manetsim/internal/tcp"
+	"manetsim/internal/udp"
+)
+
+// CCFactory builds a congestion-control strategy for one flow. The
+// returned strategy is bound into the shared tcp.Engine — which supplies
+// sequence accounting, RTO estimation, the retransmission timer, packet
+// construction and window tracing — so registering a factory is all a new
+// window-based transport needs. The spec carries the per-flow parameters
+// (TransportSpec.Params plus the legacy Alpha/MaxWindow fields).
+type CCFactory func(spec TransportSpec) (tcp.CongestionControl, error)
+
+// rawBuilder attaches fully custom endpoints for transports that are not
+// realized by the shared engine (paced UDP). Internal-only: it needs the
+// live scenario state.
+type rawBuilder func(s *scenarioState, fi int, f Flow, spec TransportSpec) error
+
+// transport is one transport registry entry.
+type transport struct {
+	plugin
+	newCC CCFactory
+	build rawBuilder
+	// check validates variant-specific spec parameters; generic checks
+	// (negative values, exclusive ACK policies) run before it.
+	check func(t TransportSpec, where string) error
+}
+
+var transportReg = registry[*transport]{kind: "transport"}
+
+// RegisterCC registers a window-based transport under name: specs naming
+// it are realized by the shared engine with the factory's strategy bound
+// in. It is the backing of the public manetsim.RegisterTransport and
+// panics on an empty or duplicate name (registration is a program-setup
+// bug, not a runtime condition).
+func RegisterCC(name string, factory CCFactory) {
+	if factory == nil {
+		panic("core: nil transport factory")
+	}
+	transportReg.register(&transport{
+		plugin: plugin{name: strings.ToLower(name), label: name, desc: "registered congestion-control transport"},
+		newCC:  factory,
+	})
+}
+
+// Transports lists every registered transport, sorted by name.
+func Transports() []PluginInfo { return transportReg.list() }
+
+// ccConfig maps the spec's transport parameters onto the engine
+// configuration shared by every window-based variant.
+func ccConfig(t TransportSpec) tcp.Config {
+	return tcp.Config{
+		Alpha:        t.Alpha,
+		Beta:         t.Params.Beta,
+		Gamma:        t.Params.Gamma,
+		MaxWindow:    t.MaxWindow,
+		BWFilterGain: t.Params.BWFilterGain,
+		CoVWeight:    t.Params.CoVWeight,
+		MinPaceGap:   t.Params.MinPaceGap,
+	}
+}
+
+// buildPacedUDP attaches the constant-bit-rate UDP source and counting
+// sink (the paper's optimally paced reference transport).
+func buildPacedUDP(s *scenarioState, fi int, f Flow, tspec TransportSpec) error {
+	src, dst := s.nodes[f.Src], s.nodes[f.Dst]
+	usrc := s.arenaUSrc[fi]
+	if usrc != nil {
+		usrc.Reset(fi, f.Src, f.Dst, tspec.UDPGap, src.Output())
+	} else {
+		usrc = udp.NewSender(s.sched, fi, f.Src, f.Dst, tspec.UDPGap, &s.uids, src.Output())
+		s.arenaUSrc[fi] = usrc
+	}
+	usink := s.arenaUSink[fi]
+	if usink != nil {
+		usink.Reset()
+	} else {
+		usink = udp.NewSink()
+		s.arenaUSink[fi] = usink
+	}
+	usink.Delay = s.delay
+	usink.Now = s.sched.Now
+	dst.AttachUDPSink(fi, usink)
+	s.udpSrcs[fi] = usrc
+	s.udpSinks[fi] = usink
+	return nil
+}
+
+// checkVegas validates the Vegas thresholds: α ≤ β (Brakmo's additive
+// increase/decrease band would invert otherwise).
+func checkVegas(t TransportSpec, where string) error {
+	if t.Params.Beta > 0 {
+		alpha := t.Alpha
+		if alpha == 0 {
+			alpha = tcp.DefaultAlpha
+		}
+		if t.Params.Beta < alpha {
+			return fmt.Errorf("core: %s: Vegas Beta %d below Alpha %d (the band is α ≤ diff ≤ β)", where, t.Params.Beta, alpha)
+		}
+	}
+	return nil
+}
+
+// checkPacedUDP requires the pacing interval.
+func checkPacedUDP(t TransportSpec, where string) error {
+	if t.UDPGap == 0 {
+		return fmt.Errorf("core: %s: paced UDP needs UDPGap > 0 (the inter-packet sending interval)", where)
+	}
+	return nil
+}
+
+// checkWestwood bounds the bandwidth filter pole.
+func checkWestwood(t TransportSpec, where string) error {
+	if g := t.Params.BWFilterGain; g < 0 || g >= 1 {
+		return fmt.Errorf("core: %s: Westwood+ BWFilterGain %g outside (0,1) (0 selects the default 0.9)", where, g)
+	}
+	return nil
+}
+
+const day = 24 * time.Hour
+
+// checkPacing bounds the adaptive-pacing knobs.
+func checkPacing(t TransportSpec, where string) error {
+	if t.Params.MinPaceGap > day {
+		return fmt.Errorf("core: %s: adaptive-pacing MinPaceGap %v is absurdly large", where, t.Params.MinPaceGap)
+	}
+	return nil
+}
+
+func init() {
+	transportReg.register(&transport{
+		plugin: plugin{name: "vegas", label: "Vegas",
+			desc: "TCP Vegas: delay-based proactive window control (paper's primary variant)"},
+		newCC: func(TransportSpec) (tcp.CongestionControl, error) { return tcp.NewVegasCC(), nil },
+		check: checkVegas,
+	})
+	transportReg.register(&transport{
+		plugin: plugin{name: "newreno", label: "NewReno",
+			desc: "TCP NewReno: loss-based AIMD with partial-ACK fast recovery (RFC 3782)"},
+		newCC: func(TransportSpec) (tcp.CongestionControl, error) { return tcp.NewNewRenoCC(), nil },
+	})
+	transportReg.register(&transport{
+		plugin: plugin{name: "pacedudp", aliases: []string{"udp"}, label: "PacedUDP",
+			desc: "constant-bit-rate UDP at a fixed inter-packet gap (paper's optimal-pacing reference)"},
+		build: buildPacedUDP,
+		check: checkPacedUDP,
+	})
+	transportReg.register(&transport{
+		plugin: plugin{name: "reno", label: "Reno",
+			desc: "classic TCP Reno: fast recovery exits on the first new ACK (RFC 2581)"},
+		newCC: func(TransportSpec) (tcp.CongestionControl, error) { return tcp.NewRenoCC1990(), nil },
+	})
+	transportReg.register(&transport{
+		plugin: plugin{name: "tahoe", label: "Tahoe",
+			desc: "TCP Tahoe: every loss collapses the window to Winit and slow-starts"},
+		newCC: func(TransportSpec) (tcp.CongestionControl, error) { return tcp.NewTahoeCC(), nil },
+	})
+	transportReg.register(&transport{
+		plugin: plugin{name: "westwood", aliases: []string{"westwood+"}, label: "Westwood+",
+			desc: "TCP Westwood+: backs off to a bandwidth-estimate window instead of blind halving (wireless-loss tolerant)"},
+		newCC: func(TransportSpec) (tcp.CongestionControl, error) { return tcp.NewWestwoodCC(), nil },
+		check: checkWestwood,
+	})
+	transportReg.register(&transport{
+		plugin: plugin{name: "pacing", aliases: []string{"adaptivepacing"}, label: "AdaptivePacing",
+			desc: "rate-based adaptive pacing: spreads the window over srtt + CoVWeight·rttvar instead of ACK-clocked bursts"},
+		newCC: func(TransportSpec) (tcp.CongestionControl, error) { return tcp.NewPacingCC(), nil },
+		check: checkPacing,
+	})
+}

@@ -49,7 +49,7 @@ func vegasAlphaSweep(h *Harness, metric func(*core.Result) float64, id, title, y
 		var cfgs []core.Config
 		for _, hops := range chainHops {
 			cfgs = append(cfgs, chainCfg(hops, phy.Rate2Mbps, core.TransportSpec{
-				Protocol: core.ProtoVegas, Alpha: alpha,
+				Name: "vegas", Alpha: alpha,
 			}))
 		}
 		results, err := h.RunAll(cfgs)
@@ -86,7 +86,7 @@ func Fig4(h *Harness) (*Figure, error) {
 	for _, alpha := range []int{2, 3, 4} {
 		var cfgs []core.Config
 		for _, r := range rates {
-			cfgs = append(cfgs, chainCfg(7, r, core.TransportSpec{Protocol: core.ProtoVegas, Alpha: alpha}))
+			cfgs = append(cfgs, chainCfg(7, r, core.TransportSpec{Name: "vegas", Alpha: alpha}))
 		}
 		results, err := h.RunAll(cfgs)
 		if err != nil {
@@ -112,10 +112,10 @@ func Fig5(h *Harness) (*Figure, error) {
 		name string
 		t    core.TransportSpec
 	}{
-		{"Vegas α=2", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}},
-		{"Vegas α=2 Thin", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2, AckThinning: true}},
-		{"Vegas α=3 Thin", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 3, AckThinning: true}},
-		{"Vegas α=4 Thin", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 4, AckThinning: true}},
+		{"Vegas α=2", core.TransportSpec{Name: "vegas", Alpha: 2}},
+		{"Vegas α=2 Thin", core.TransportSpec{Name: "vegas", Alpha: 2, AckThinning: true}},
+		{"Vegas α=3 Thin", core.TransportSpec{Name: "vegas", Alpha: 3, AckThinning: true}},
+		{"Vegas α=4 Thin", core.TransportSpec{Name: "vegas", Alpha: 4, AckThinning: true}},
 	}
 	for _, v := range variants {
 		var cfgs []core.Config
@@ -140,9 +140,9 @@ var chainVariants = []struct {
 	name string
 	t    core.TransportSpec
 }{
-	{"Vegas", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}},
-	{"NewReno", core.TransportSpec{Protocol: core.ProtoNewReno}},
-	{"NewReno Thin", core.TransportSpec{Protocol: core.ProtoNewReno, AckThinning: true}},
+	{"Vegas", core.TransportSpec{Name: "vegas", Alpha: 2}},
+	{"NewReno", core.TransportSpec{Name: "newreno"}},
+	{"NewReno Thin", core.TransportSpec{Name: "newreno", AckThinning: true}},
 }
 
 // chainComparison builds a Figures-6..9 style figure over the chain with
@@ -172,7 +172,7 @@ func chainComparison(h *Harness, id, title, ylabel string, includeUDP bool, metr
 				return nil, err
 			}
 			res, err := h.Run(chainCfg(hops, phy.Rate2Mbps, core.TransportSpec{
-				Protocol: core.ProtoPacedUDP, UDPGap: gap,
+				Name: "pacedudp", UDPGap: gap,
 			}))
 			if err != nil {
 				return nil, err
@@ -222,7 +222,7 @@ func Fig10(h *Harness) (*Figure, error) {
 		gap := time.Duration(ms) * time.Millisecond
 		gaps = append(gaps, gap)
 		cfgs = append(cfgs, chainCfg(7, phy.Rate2Mbps, core.TransportSpec{
-			Protocol: core.ProtoPacedUDP, UDPGap: gap,
+			Name: "pacedudp", UDPGap: gap,
 		}))
 	}
 	results, err := h.RunAll(cfgs)

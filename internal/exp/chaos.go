@@ -34,7 +34,7 @@ func Chaos(h *Harness) (*Figure, error) {
 		name string
 		t    core.TransportSpec
 	}{
-		{"Reno", core.TransportSpec{Protocol: core.ProtoReno}},
+		{"Reno", core.TransportSpec{Name: "reno"}},
 		{"Westwood+", core.TransportSpec{Name: "westwood"}},
 	}
 	for _, v := range variants {

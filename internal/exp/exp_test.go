@@ -54,7 +54,7 @@ func TestRegistryCoversEveryTableAndFigure(t *testing.T) {
 
 func TestHarnessCacheDedupsRuns(t *testing.T) {
 	h := NewHarness(BenchScale)
-	cfg := chainCfg(2, phy.Rate2Mbps, core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2})
+	cfg := chainCfg(2, phy.Rate2Mbps, core.TransportSpec{Name: "vegas", Alpha: 2})
 	a, err := h.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -71,8 +71,8 @@ func TestHarnessCacheDedupsRuns(t *testing.T) {
 func TestHarnessRunAllPreservesOrder(t *testing.T) {
 	h := NewHarness(BenchScale)
 	cfgs := []core.Config{
-		chainCfg(2, phy.Rate2Mbps, core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}),
-		chainCfg(3, phy.Rate2Mbps, core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}),
+		chainCfg(2, phy.Rate2Mbps, core.TransportSpec{Name: "vegas", Alpha: 2}),
+		chainCfg(3, phy.Rate2Mbps, core.TransportSpec{Name: "vegas", Alpha: 2}),
 	}
 	results, err := h.RunAll(cfgs)
 	if err != nil {
@@ -174,13 +174,13 @@ func TestHarnessCacheKeyStableAcrossEqualScenarios(t *testing.T) {
 	// scenarios must share one cached run.
 	mk := func() core.Config {
 		scn := core.Grid().WithFlows(
-			core.Flow{Src: 0, Dst: 13, Transport: core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}},
-			core.Flow{Src: 7, Dst: 20, Transport: core.TransportSpec{Protocol: core.ProtoNewReno}},
+			core.Flow{Src: 0, Dst: 13, Transport: core.TransportSpec{Name: "vegas", Alpha: 2}},
+			core.Flow{Src: 7, Dst: 20, Transport: core.TransportSpec{Name: "newreno"}},
 		)
 		return core.Config{
 			Scenario:  scn,
 			Bandwidth: phy.Rate2Mbps,
-			Transport: core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2},
+			Transport: core.TransportSpec{Name: "vegas", Alpha: 2},
 		}
 	}
 	h := NewHarness(BenchScale)

@@ -20,10 +20,10 @@ func TCPVariants(h *Harness) (*Figure, error) {
 		name string
 		t    core.TransportSpec
 	}{
-		{"Tahoe", core.TransportSpec{Protocol: core.ProtoTahoe}},
-		{"Reno", core.TransportSpec{Protocol: core.ProtoReno}},
-		{"NewReno", core.TransportSpec{Protocol: core.ProtoNewReno}},
-		{"Vegas", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}},
+		{"Tahoe", core.TransportSpec{Name: "tahoe"}},
+		{"Reno", core.TransportSpec{Name: "reno"}},
+		{"NewReno", core.TransportSpec{Name: "newreno"}},
+		{"Vegas", core.TransportSpec{Name: "vegas", Alpha: 2}},
 	}
 	hopsAxis := []int{2, 4, 7} // Xu & Saadawi evaluated chains up to 7 hops
 	for _, v := range variants {
@@ -53,8 +53,8 @@ func Coexist(h *Harness) (*Figure, error) {
 		ID: "coexist", Title: "grid: 3 Vegas flows vs 3 NewReno flows sharing the medium",
 		XLabel: "bandwidth [Mbit/s]", YLabel: "per-group goodput [kbit/s]",
 	}
-	vegas := core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}
-	newreno := core.TransportSpec{Protocol: core.ProtoNewReno}
+	vegas := core.TransportSpec{Name: "vegas", Alpha: 2}
+	newreno := core.TransportSpec{Name: "newreno"}
 	// Alternate protocols within each geometry class (FTP1-3 horizontal,
 	// FTP4-6 vertical) so path length does not confound the comparison.
 	perFlow := []core.TransportSpec{
@@ -109,7 +109,7 @@ func OptWindow(h *Harness) (*Figure, error) {
 	var cfgs []core.Config
 	for _, w := range bounds {
 		cfgs = append(cfgs, chainCfg(8, phy.Rate2Mbps, core.TransportSpec{
-			Protocol: core.ProtoNewReno, MaxWindow: w,
+			Name: "newreno", MaxWindow: w,
 		}))
 	}
 	results, err := h.RunAll(cfgs)

@@ -48,8 +48,7 @@ func NewHarness(scale Scale) *Harness {
 // use.
 func (h *Harness) Campaign() *manetsim.Campaign {
 	h.once.Do(func() {
-		h.c = manetsim.NewCampaign(h.Scale)
-		h.c.Workers = h.Workers
+		h.c = manetsim.NewCampaign(h.Scale, manetsim.WithWorkers(h.Workers))
 	})
 	return h.c
 }

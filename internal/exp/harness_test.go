@@ -17,7 +17,7 @@ func TestRunAllFailsFastOnInvalidConfig(t *testing.T) {
 	h := NewHarness(BenchScale)
 	cfgs := []core.Config{
 		{Scenario: core.Chain(2).WithFlows(core.Flow{Src: 0, Dst: 99})}, // invalid flow
-		chainCfg(2, rates[0], core.TransportSpec{Protocol: core.ProtoVegas}),
+		chainCfg(2, rates[0], core.TransportSpec{Name: "vegas"}),
 	}
 	if _, err := h.RunAll(cfgs); err == nil {
 		t.Fatal("invalid config did not fail the sweep")
@@ -30,7 +30,7 @@ func TestRunAllFailsFastOnInvalidConfig(t *testing.T) {
 func TestRunAllAbortDoesNotPoisonCache(t *testing.T) {
 	h := NewHarness(BenchScale)
 	h.Workers = 1
-	good := chainCfg(2, rates[0], core.TransportSpec{Protocol: core.ProtoVegas})
+	good := chainCfg(2, rates[0], core.TransportSpec{Name: "vegas"})
 	bad := core.Config{Scenario: core.Chain(2).WithFlows(core.Flow{Src: 0, Dst: 99})}
 	if _, err := h.RunAll([]core.Config{bad, good, good, good}); err == nil {
 		t.Fatal("failing sweep reported success")

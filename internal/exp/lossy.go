@@ -23,7 +23,7 @@ func Lossy(h *Harness) (*Figure, error) {
 		name string
 		t    core.TransportSpec
 	}{
-		{"Reno", core.TransportSpec{Protocol: core.ProtoReno}},
+		{"Reno", core.TransportSpec{Name: "reno"}},
 		{"Westwood+", core.TransportSpec{Name: "westwood"}},
 	}
 	lossAxis := []float64{0, 0.01, 0.02, 0.05}

@@ -13,10 +13,10 @@ var multiflowVariants = []struct {
 	name string
 	t    core.TransportSpec
 }{
-	{"Vegas", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}},
-	{"NewReno", core.TransportSpec{Protocol: core.ProtoNewReno}},
-	{"Vegas Thin", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2, AckThinning: true}},
-	{"NewReno Thin", core.TransportSpec{Protocol: core.ProtoNewReno, AckThinning: true}},
+	{"Vegas", core.TransportSpec{Name: "vegas", Alpha: 2}},
+	{"NewReno", core.TransportSpec{Name: "newreno"}},
+	{"Vegas Thin", core.TransportSpec{Name: "vegas", Alpha: 2, AckThinning: true}},
+	{"NewReno Thin", core.TransportSpec{Name: "newreno", AckThinning: true}},
 }
 
 // aggregateGoodputFigure renders Figures 16/18: aggregate goodput per

@@ -14,12 +14,12 @@ var sevenHopVariants = []struct {
 	t    core.TransportSpec
 	udp  bool
 }{
-	{"Vegas", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}, false},
-	{"NewReno", core.TransportSpec{Protocol: core.ProtoNewReno}, false},
-	{"Vegas Thin", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2, AckThinning: true}, false},
-	{"NewReno Thin", core.TransportSpec{Protocol: core.ProtoNewReno, AckThinning: true}, false},
-	{"NewReno OptWin", core.TransportSpec{Protocol: core.ProtoNewReno, MaxWindow: 3}, false},
-	{"Paced UDP", core.TransportSpec{Protocol: core.ProtoPacedUDP}, true},
+	{"Vegas", core.TransportSpec{Name: "vegas", Alpha: 2}, false},
+	{"NewReno", core.TransportSpec{Name: "newreno"}, false},
+	{"Vegas Thin", core.TransportSpec{Name: "vegas", Alpha: 2, AckThinning: true}, false},
+	{"NewReno Thin", core.TransportSpec{Name: "newreno", AckThinning: true}, false},
+	{"NewReno OptWin", core.TransportSpec{Name: "newreno", MaxWindow: 3}, false},
+	{"Paced UDP", core.TransportSpec{Name: "pacedudp"}, true},
 }
 
 // sevenHopComparison renders one of Figures 11-14: a metric for every
@@ -121,8 +121,8 @@ func Ablation(h *Harness) (*Figure, error) {
 		}},
 	}
 	for _, proto := range []core.TransportSpec{
-		{Protocol: core.ProtoVegas, Alpha: 2},
-		{Protocol: core.ProtoNewReno},
+		{Name: "vegas", Alpha: 2},
+		{Name: "newreno"},
 	} {
 		s := Series{Name: proto.Label()}
 		for _, v := range variants {

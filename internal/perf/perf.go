@@ -317,7 +317,7 @@ func BenchRunWithFaults(b *testing.B) {
 	cfg := core.Config{
 		Scenario:     core.Chain(4),
 		Bandwidth:    phy.Rate2Mbps,
-		Transport:    core.TransportSpec{Protocol: core.ProtoNewReno},
+		Transport:    core.TransportSpec{Name: "newreno"},
 		Seed:         scale.Seed,
 		TotalPackets: scale.TotalPackets,
 		BatchPackets: scale.BatchPackets,
@@ -349,7 +349,7 @@ func BenchRunWithFaults(b *testing.B) {
 // budget: a 210-node static-routed grid (route computation is cubic in
 // node count) sampled for a small packet budget across many seeds. One
 // campaign persists across iterations — seeds never repeat, so every run
-// simulates — and rebuild toggles DisableArenaReuse, making the pair a
+// simulates — and rebuild toggles WithoutArenaReuse, making the pair a
 // direct fresh-build-vs-arena comparison.
 func benchCampaignReplicates(b *testing.B, rebuild bool) {
 	const (
@@ -363,8 +363,11 @@ func benchCampaignReplicates(b *testing.B, rebuild bool) {
 		}
 	}
 	scn.AddFlow(0, 2)
-	camp := manetsim.NewCampaign(manetsim.BenchScale)
-	camp.DisableArenaReuse = rebuild
+	var opts []manetsim.CampaignOption
+	if rebuild {
+		opts = append(opts, manetsim.WithoutArenaReuse())
+	}
+	camp := manetsim.NewCampaign(manetsim.BenchScale, opts...)
 	next := int64(1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -412,7 +415,7 @@ func BenchEndToEndBenchScale(b *testing.B) {
 		res, err = core.Run(core.Config{
 			Scenario:     core.Chain(8),
 			Bandwidth:    phy.Rate2Mbps,
-			Transport:    core.TransportSpec{Protocol: core.ProtoVegas},
+			Transport:    core.TransportSpec{Name: "vegas"},
 			Seed:         scale.Seed,
 			TotalPackets: scale.TotalPackets,
 			BatchPackets: scale.BatchPackets,

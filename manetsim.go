@@ -32,7 +32,7 @@
 // the run-level knobs:
 //
 //	res, err := manetsim.Run(ctx, manetsim.Chain(7),
-//	    manetsim.WithTransport(manetsim.TransportSpec{Protocol: manetsim.Vegas}),
+//	    manetsim.WithTransport(manetsim.TransportSpec{Name: "vegas"}),
 //	    manetsim.WithSeed(1))
 //	if err != nil { ... }
 //	fmt.Printf("goodput: %.0f kbit/s\n", res.AggGoodput.Mean/1e3)
@@ -48,8 +48,7 @@
 // # Transports
 //
 // Transports are plugins: every variant is a named registry entry, and a
-// TransportSpec selects one by Name (or by the legacy Protocol constants,
-// which resolve through the same registry). Window-based variants share
+// TransportSpec selects one by Name. Window-based variants share
 // one sender engine and differ only in their CongestionControl strategy;
 // RegisterTransport adds new strategies that become selectable everywhere
 // a spec goes, including Campaign sweeps and cmd/manetsim:
@@ -102,27 +101,10 @@ const (
 // Rate is a channel bit rate in bit/s.
 type Rate = phy.Rate
 
-// Transport protocols: the paper's three plus the classic Reno and Tahoe
-// baselines discussed in its related work.
-const (
-	Vegas    = core.ProtoVegas
-	NewReno  = core.ProtoNewReno
-	PacedUDP = core.ProtoPacedUDP
-	Reno     = core.ProtoReno
-	Tahoe    = core.ProtoTahoe
-)
-
-// Protocol selects the transport variant. The constants above are
-// registry-backed aliases: they resolve through the same transport
-// registry as TransportSpec.Name, so both selection styles build
-// identical flows.
-type Protocol = core.Protocol
-
 // TransportSpec configures the transport layer of a flow (or the run-wide
-// default passed via WithTransport). A spec selects its variant either by
-// registry Name — "vegas", "newreno", "pacedudp", "reno", "tahoe",
-// "westwood", "pacing", or anything added with RegisterTransport — or by
-// the legacy Protocol constant.
+// default passed via WithTransport). A spec selects its variant by
+// registry Name: "vegas", "newreno", "pacedudp", "reno", "tahoe",
+// "westwood", "pacing", or anything added with RegisterTransport.
 type TransportSpec = core.TransportSpec
 
 // Params carries the optional per-variant transport parameters of a
@@ -130,12 +112,14 @@ type TransportSpec = core.TransportSpec
 // adaptive-pacing shape). Zero fields select the variant defaults.
 type Params = core.Params
 
-// TransportInfo describes one registered transport (see Transports).
-type TransportInfo = core.TransportInfo
+// PluginInfo describes one registered transport, link model or fault
+// injector (see Transports, LinkModels and Faults). Label is set for
+// transports only.
+type PluginInfo = core.PluginInfo
 
 // Transports lists every registered transport — built-in and registered —
 // sorted by name.
-func Transports() []TransportInfo { return core.Transports() }
+func Transports() []PluginInfo { return core.Transports() }
 
 // TransportFactory builds the congestion-control strategy for one flow of
 // a registered transport. The spec carries the flow's parameters; the
@@ -264,12 +248,9 @@ func GilbertElliottModel(pGoodBad, pBadGood, lossBad float64) LinkModelSpec {
 	return core.GilbertElliottModel(pGoodBad, pBadGood, lossBad)
 }
 
-// LinkModelInfo describes one registered link model (see LinkModels).
-type LinkModelInfo = core.LinkModelInfo
-
 // LinkModels lists every registered link-impairment model — built-in and
 // registered — sorted by name.
-func LinkModels() []LinkModelInfo { return core.LinkModels() }
+func LinkModels() []PluginInfo { return core.LinkModels() }
 
 // LinkModelFactory builds the impairment model for a run from its spec;
 // it returns an error for unusable parameters.
@@ -312,12 +293,9 @@ func PartitionFault(cut float64, at, duration time.Duration) FaultSpec {
 	return core.PartitionFault(cut, at, duration)
 }
 
-// FaultInfo describes one registered fault injector (see Faults).
-type FaultInfo = core.FaultInfo
-
 // Faults lists every registered fault injector — built-in and registered
 // — sorted by name.
-func Faults() []FaultInfo { return core.Faults() }
+func Faults() []PluginInfo { return core.Faults() }
 
 // FaultFactory builds the fault injector for a run from its spec; it
 // returns an error for unusable parameters.

@@ -9,7 +9,7 @@ import (
 func TestPublicAPIRun(t *testing.T) {
 	res, err := Run(context.Background(), Chain(3),
 		WithBandwidth(Rate2Mbps),
-		WithTransport(TransportSpec{Protocol: Vegas}),
+		WithTransport(TransportSpec{Name: "vegas"}),
 		WithSeed(1),
 		WithPackets(1100, 100),
 	)
@@ -32,8 +32,8 @@ func TestPublicAPICustomScenario(t *testing.T) {
 	left := scn.AddNode(0, 0)
 	right := scn.AddNode(400, 0)
 	sink := scn.AddNode(200, 100)
-	scn.Add(Flow{Src: left, Dst: sink, Transport: TransportSpec{Protocol: Vegas}})
-	scn.Add(Flow{Src: right, Dst: sink, Transport: TransportSpec{Protocol: NewReno}, Start: 2 * time.Second})
+	scn.Add(Flow{Src: left, Dst: sink, Transport: TransportSpec{Name: "vegas"}})
+	scn.Add(Flow{Src: right, Dst: sink, Transport: TransportSpec{Name: "newreno"}, Start: 2 * time.Second})
 	res, err := Run(context.Background(), scn,
 		WithSeed(1),
 		WithPackets(1100, 100),
@@ -87,7 +87,7 @@ func TestPublicAPITopologies(t *testing.T) {
 		"random": Random(),
 	} {
 		res, err := Run(context.Background(), scn,
-			WithTransport(TransportSpec{Protocol: NewReno}),
+			WithTransport(TransportSpec{Name: "newreno"}),
 			WithSeed(3),
 			WithPackets(550, 50),
 			WithMaxSimTime(30*time.Minute),
@@ -105,7 +105,7 @@ func TestPublicAPIObserver(t *testing.T) {
 	var batches, windows int
 	var lastDelivered int64
 	res, err := Run(context.Background(), Chain(3),
-		WithTransport(TransportSpec{Protocol: Vegas}),
+		WithTransport(TransportSpec{Name: "vegas"}),
 		WithSeed(1),
 		WithPackets(1100, 100),
 		WithObserver(ObserverFuncs{
@@ -135,7 +135,7 @@ func TestPublicAPIObserverDoesNotChangeResults(t *testing.T) {
 	run := func(obs Observer) *Result {
 		t.Helper()
 		opts := []Option{
-			WithTransport(TransportSpec{Protocol: NewReno}),
+			WithTransport(TransportSpec{Name: "newreno"}),
 			WithSeed(5),
 			WithPackets(1100, 100),
 		}
@@ -164,11 +164,11 @@ func TestPublicAPITransportName(t *testing.T) {
 		spec TransportSpec
 		want string
 	}{
-		{TransportSpec{Protocol: Vegas}, "Vegas"},
-		{TransportSpec{Protocol: Vegas, Alpha: 3}, "Vegas(α=3)"},
-		{TransportSpec{Protocol: NewReno, AckThinning: true}, "NewReno+Thin"},
-		{TransportSpec{Protocol: NewReno, MaxWindow: 3}, "NewReno(MaxWin=3)"},
-		{TransportSpec{Protocol: PacedUDP}, "PacedUDP"},
+		{TransportSpec{Name: "vegas"}, "Vegas"},
+		{TransportSpec{Name: "vegas", Alpha: 3}, "Vegas(α=3)"},
+		{TransportSpec{Name: "newreno", AckThinning: true}, "NewReno+Thin"},
+		{TransportSpec{Name: "newreno", MaxWindow: 3}, "NewReno(MaxWin=3)"},
+		{TransportSpec{Name: "pacedudp"}, "PacedUDP"},
 	}
 	for _, c := range cases {
 		if got := c.spec.Label(); got != c.want {

@@ -274,6 +274,33 @@ func TestServeRejectsBadSubmissions(t *testing.T) {
 	}
 }
 
+// TestServeRejectsRemovedProtocolField pins that a sweep selecting its
+// transport by the removed Protocol enum is refused with a 400 naming the
+// field, instead of running with the field silently dropped.
+func TestServeRejectsRemovedProtocolField(t *testing.T) {
+	ts := httptest.NewServer(manetsim.NewServer(manetsim.NewCampaign(manetsim.BenchScale)))
+	defer ts.Close()
+	body := `{
+		"Scenarios": [{"Name": "chain-2",
+			"Nodes": [{"X": 0, "Y": 0}, {"X": 200, "Y": 0}, {"X": 400, "Y": 0}],
+			"Flows": [{"Src": 0, "Dst": 2}]}],
+		"Transports": [{"Protocol": 1}],
+		"Seeds": [1]
+	}`
+	resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(got.Error, `unknown field "Protocol"`) {
+		t.Errorf("Protocol transport = %d %q, want 400 naming the unknown field", resp.StatusCode, got.Error)
+	}
+}
+
 func TestServeUnknownJobIs404(t *testing.T) {
 	ts := httptest.NewServer(manetsim.NewServer(manetsim.NewCampaign(manetsim.BenchScale)))
 	defer ts.Close()
@@ -335,7 +362,7 @@ func TestServeHealthAndTransports(t *testing.T) {
 	ts := httptest.NewServer(manetsim.NewServer(manetsim.NewCampaign(manetsim.BenchScale)))
 	defer ts.Close()
 	getJSON(t, ts, "/api/v1/healthz", http.StatusOK, nil)
-	var infos []manetsim.TransportInfo
+	var infos []manetsim.PluginInfo
 	getJSON(t, ts, "/api/v1/transports", http.StatusOK, &infos)
 	if len(infos) < 7 {
 		t.Fatalf("transports listing carried %d entries, want the full registry", len(infos))

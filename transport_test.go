@@ -52,14 +52,14 @@ func TestEveryRegisteredTransportRuns(t *testing.T) {
 	}
 }
 
-// TestTransportAliasesResolve pins that aliases and the legacy Protocol
-// constants select the same transports as canonical names.
+// TestTransportAliasesResolve pins that names resolve case-insensitively
+// and that aliases select the same transports as canonical names.
 func TestTransportAliasesResolve(t *testing.T) {
-	byName := shortRun(t, manetsim.TransportSpec{Name: "vegas"})
-	byProto := shortRun(t, manetsim.TransportSpec{Protocol: manetsim.Vegas})
-	if byName.AggGoodput.Mean != byProto.AggGoodput.Mean || byName.Delivered != byProto.Delivered {
-		t.Errorf("Name \"vegas\" and Protocol Vegas diverge: %.0f/%d vs %.0f/%d bit/s",
-			byName.AggGoodput.Mean, byName.Delivered, byProto.AggGoodput.Mean, byProto.Delivered)
+	lower := shortRun(t, manetsim.TransportSpec{Name: "vegas"})
+	upper := shortRun(t, manetsim.TransportSpec{Name: "VEGAS"})
+	if lower.AggGoodput.Mean != upper.AggGoodput.Mean || lower.Delivered != upper.Delivered {
+		t.Errorf("Name \"vegas\" and \"VEGAS\" diverge: %.0f/%d vs %.0f/%d bit/s",
+			lower.AggGoodput.Mean, lower.Delivered, upper.AggGoodput.Mean, upper.Delivered)
 	}
 	alias := shortRun(t, manetsim.TransportSpec{Name: "udp", UDPGap: 40 * time.Millisecond})
 	canon := shortRun(t, manetsim.TransportSpec{Name: "pacedudp", UDPGap: 40 * time.Millisecond})
@@ -188,16 +188,16 @@ func TestVegasBetaGammaParams(t *testing.T) {
 }
 
 // TestPerFlowNamedTransportInheritance pins the IsZero-based inheritance:
-// a per-flow spec carrying only a Name (Protocol == 0) must override the
+// a per-flow spec carrying only a Name must override the
 // run default rather than silently inheriting it.
 func TestPerFlowNamedTransportInheritance(t *testing.T) {
 	scn := manetsim.Chain(2)
 	scn.Flows[0].Transport = manetsim.TransportSpec{Name: "newreno"}
 	res, err := manetsim.Run(context.Background(), scn,
 		// The run default pins the window at 1 packet; the per-flow spec
-		// (Name only, Protocol == 0) must replace it entirely, so the
+		// (Name only) must replace it entirely, so the
 		// measured average window exceeding 1 proves the override took.
-		manetsim.WithTransport(manetsim.TransportSpec{Protocol: manetsim.Vegas, MaxWindow: 1}),
+		manetsim.WithTransport(manetsim.TransportSpec{Name: "vegas", MaxWindow: 1}),
 		manetsim.WithSeed(1),
 		manetsim.WithPackets(1100, 100),
 	)
